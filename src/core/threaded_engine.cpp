@@ -542,12 +542,6 @@ void ThreadedAiaccEngine::RunIterationProtocol(
   // previous iteration (not here) so a WaitGradient caller racing ahead of
   // this protocol round never reads a stale full count.
   state.gradients_remaining.store(n, std::memory_order_release);
-  // Advance iteration-wide optimizer state (Adam's timestep) before any
-  // unit can be pushed: every StepTensor this iteration happens-after this
-  // call via the scheduler handoff.
-  if (state.optimizer != nullptr) {
-    state.optimizer->BeginIteration(state.params);
-  }
   StreamingPacker packer(config_.granularity_bytes);
   BitVector local_ready(static_cast<std::size_t>(n));
   int agreed_total = 0;
@@ -556,6 +550,14 @@ void ThreadedAiaccEngine::RunIterationProtocol(
   // The first pop blocks until the worker produces something (or shutdown).
   auto first = state.queue->Pop();
   if (!first.has_value()) return;  // shutdown
+  // Advance iteration-wide optimizer state (Adam's timestep) only now that
+  // the caller has started this iteration — at the end of the previous one
+  // the caller may already have destroyed its optimizer and shut down —
+  // and before any unit can be pushed: every StepTensor this iteration
+  // happens-after this call via the scheduler handoff.
+  if (state.optimizer != nullptr) {
+    state.optimizer->BeginIteration(state.params);
+  }
   if (*first != kFlush) {
     local_ready.Set(static_cast<std::size_t>(*first));
   } else {
@@ -945,6 +947,13 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
           }
         }
       }
+      // The count drops under mu, like every other predicate the waiters
+      // on state.cv check under mu: decremented outside it, the notify
+      // below could land between a waiter's check and its Wait and be lost.
+      if (completed > 0) {
+        state.gradients_remaining.fetch_sub(completed,
+                                            std::memory_order_acq_rel);
+      }
       worker.units_reduced_->Add();
       worker.bytes_reduced_->Add(bytes);
     }
@@ -954,14 +963,10 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       unit_begin)
             .count());
-    if (completed > 0) {
-      // Notify on *every* batch of completed gradients (not only the last):
-      // WaitGradient callers sleep on the same condvar as the protocol's
-      // end-of-iteration wait.
-      state.gradients_remaining.fetch_sub(completed,
-                                          std::memory_order_acq_rel);
-      state.cv.NotifyAll();
-    }
+    // Notify on *every* batch of completed gradients (not only the last):
+    // WaitGradient callers sleep on the same condvar as the protocol's
+    // end-of-iteration wait.
+    if (completed > 0) state.cv.NotifyAll();
   }
 }
 

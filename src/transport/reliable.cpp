@@ -1,9 +1,8 @@
 #include "transport/reliable.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 #include "telemetry/tracer.h"
+#include "transport/crc32.h"
 
 namespace aiacc::transport {
 namespace {
@@ -29,40 +29,29 @@ constexpr float kKindAck = 2.0f;
 /// 16-bit CRC halves with huge headroom.
 constexpr std::uint64_t kMaxSeq = 1ULL << 24;
 
-/// CRC32 (reflected, poly 0xEDB88320) over the frame's kind, seq, and body
-/// bytes — the header fields are covered so a corrupted seq lane is
-/// detected, not misfiled as a different message.
-const std::array<std::uint32_t, 256>& CrcTable() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
-
-std::uint32_t CrcUpdate(std::uint32_t crc, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  const auto& table = CrcTable();
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc;
-}
-
+/// CRC32 (crc32.h) over the frame's kind, seq, and body bytes — the header
+/// fields are covered so a corrupted seq lane is detected, not misfiled as a
+/// different message.
 std::uint32_t FrameCrc(float kind, std::uint64_t seq, const float* body,
                        std::size_t body_lanes) {
   std::uint32_t crc = 0xFFFFFFFFu;
-  crc = CrcUpdate(crc, &kind, sizeof(kind));
-  crc = CrcUpdate(crc, &seq, sizeof(seq));
-  crc = CrcUpdate(crc, body, body_lanes * sizeof(float));
+  crc = Crc32Update(crc, &kind, sizeof(kind));
+  crc = Crc32Update(crc, &seq, sizeof(seq));
+  crc = Crc32Update(crc, body, body_lanes * sizeof(float));
   return crc ^ 0xFFFFFFFFu;
+}
+
+/// A pooled wire frame: the four header lanes followed by a copy of `body`
+/// (empty for acks). The only payload copy a (re)transmission makes.
+Payload BuildFrame(common::BufferPool& pool, float kind, std::uint64_t seq,
+                   std::uint32_t crc, std::span<const float> body) {
+  Payload wire = pool.Acquire(kHeaderLanes + body.size());
+  wire[0] = kind;
+  wire[1] = static_cast<float>(seq);
+  wire[2] = static_cast<float>(crc >> 16);
+  wire[3] = static_cast<float>(crc & 0xFFFFu);
+  std::copy(body.begin(), body.end(), wire.begin() + kHeaderLanes);
+  return wire;
 }
 
 /// A float lane that must hold a small non-negative integer; nullopt when
@@ -116,7 +105,7 @@ ReliableTransport::~ReliableTransport() {
   // Hand every retained buffer back to the pool (no-op for an empty run).
   common::MutexLock lock(mu_);
   for (auto& [key, ch] : tx_) {
-    for (auto& [seq, frame] : ch.inflight) pool_.Release(std::move(frame.wire));
+    for (auto& [seq, frame] : ch.inflight) pool_.Release(std::move(frame.body));
     ch.inflight.clear();
   }
   for (auto& [key, ch] : rx_) {
@@ -126,49 +115,59 @@ ReliableTransport::~ReliableTransport() {
 }
 
 void ReliableTransport::Send(int src, int dst, int tag, Payload payload) {
-  const std::size_t body_lanes = payload.size();
-  Payload clone;  // the copy that goes onto the wire now
+  // mu_ covers only the sequence allocation and the inflight insert; the
+  // CRC and the frame build run unlocked, so concurrent streams overlap.
+  // Channel map nodes are never erased, so the pointers stay valid.
+  TxChannel* ch = nullptr;
+  const RxChannel* ack_box = nullptr;  // this channel's ack mailbox state
+  std::uint64_t seq = 0;
   {
     common::MutexLock lock(mu_);
-    TxChannel& ch = tx_[{src, dst, tag}];
-    const std::uint64_t seq = ch.next_seq++;
-    AIACC_CHECK(seq < kMaxSeq);
-
-    Payload wire = pool_.Acquire(kHeaderLanes + body_lanes);
-    const std::uint32_t crc = FrameCrc(kKindData, seq, payload.data(),
-                                       body_lanes);
-    wire[0] = kKindData;
-    wire[1] = static_cast<float>(seq);
-    wire[2] = static_cast<float>(crc >> 16);
-    wire[3] = static_cast<float>(crc & 0xFFFFu);
-    std::copy(payload.begin(), payload.end(), wire.begin() + kHeaderLanes);
-
-    clone = pool_.Acquire(wire.size());
-    std::copy(wire.begin(), wire.end(), clone.begin());
-
+    ch = &tx_[{src, dst, tag}];
+    ack_box = &rx_[{src, dst, tag}];
+    seq = ch->next_seq++;
+  }
+  AIACC_CHECK(seq < kMaxSeq);
+  const std::uint32_t crc =
+      FrameCrc(kKindData, seq, payload.data(), payload.size());
+  Payload wire = BuildFrame(pool_, kKindData, seq, crc, payload);
+  bool drain_acks = false;
+  {
+    common::MutexLock lock(mu_);
     const auto now = std::chrono::steady_clock::now();
-    TxFrame& frame = ch.inflight[seq];
-    frame.wire = std::move(wire);
+    // The caller's payload itself is the retransmit source.
+    TxFrame& frame = ch->inflight[seq];
+    frame.body = std::move(payload);
+    frame.crc = crc;
     frame.first_sent = now;
     frame.rto_ms = options_.rto_initial_ms;
     frame.next_resend = now + std::chrono::milliseconds(frame.rto_ms);
     ++stats_.data_frames_sent;
+    drain_acks = ack_box->consumers == 0;
   }
-  pool_.Release(std::move(payload));
   // Outside the mutex: a fault decorator may sleep inside Send.
-  inner_.Send(src, dst, tag, std::move(clone));
+  inner_.Send(src, dst, tag, std::move(wire));
+  // Retire whatever acks already came back (same rule as the daemon: only
+  // when no consumer pulls this mailbox), so acked bodies return to the
+  // pool now rather than at the next daemon tick.
+  if (drain_acks) {
+    FrameList acks;
+    DrainMailbox(src, dst, tag, acks);
+    SendAll(acks);
+  }
 }
 
-void ReliableTransport::ProcessRawFrame(
-    int rank, int src, int tag, Payload frame,
-    std::vector<std::tuple<int, int, int, Payload>>& acks_out) {
+void ReliableTransport::ProcessRawFrame(int rank, int src, int tag,
+                                        Payload frame, FrameList& acks_out) {
   const auto reject = [&](Payload&& p) {
     CrcFailureCounter().Add();
     telemetry::FlightRecorder::Global().Record(
         telemetry::FlightSeverity::kWarn, "transport.reliable", "crc-discard",
         rank, /*channel=*/-1, tag, /*detail0=*/src);
-    common::MutexLock lock(mu_);
-    ++stats_.crc_failures;
+    {
+      common::MutexLock lock(mu_);
+      ++stats_.crc_failures;
+    }
     pool_.Release(std::move(p));
   };
   if (frame.size() < kHeaderLanes) return reject(std::move(frame));
@@ -188,46 +187,60 @@ void ReliableTransport::ProcessRawFrame(
   }
 
   if (kind == kKindAck) {
-    common::MutexLock lock(mu_);
-    // An ack arriving at `rank` from `src` acknowledges a frame `rank`
-    // sent to `src` on this tag.
-    auto it = tx_.find({rank, src, tag});
-    if (it != tx_.end()) {
-      auto fit = it->second.inflight.find(*seq);
-      if (fit != it->second.inflight.end()) {
-        pool_.Release(std::move(fit->second.wire));
-        it->second.inflight.erase(fit);
+    std::optional<Payload> acked;  // the retained body this ack retires
+    {
+      common::MutexLock lock(mu_);
+      // An ack arriving at `rank` from `src` acknowledges a frame `rank`
+      // sent to `src` on this tag.
+      auto it = tx_.find({rank, src, tag});
+      if (it != tx_.end()) {
+        auto fit = it->second.inflight.find(*seq);
+        if (fit != it->second.inflight.end()) {
+          acked = std::move(fit->second.body);
+          it->second.inflight.erase(fit);
+        }
       }
+      ++stats_.acks_received;
     }
-    ++stats_.acks_received;
+    if (acked) pool_.Release(*std::move(acked));
     pool_.Release(std::move(frame));
     return;
   }
 
-  // Data frame: stash in order, ack unconditionally (a lost ack shows up
-  // here as a duplicate — the re-ack is what stops its retransmits).
-  Payload ack = pool_.Acquire(kHeaderLanes);
-  const std::uint32_t ack_crc = FrameCrc(kKindAck, *seq, nullptr, 0);
-  ack[0] = kKindAck;
-  ack[1] = static_cast<float>(*seq);
-  ack[2] = static_cast<float>(ack_crc >> 16);
-  ack[3] = static_cast<float>(ack_crc & 0xFFFFu);
+  // Data frame: strip the header in place (the frame's buffer becomes the
+  // delivered body), stash in order, ack unconditionally (a lost ack shows
+  // up here as a duplicate — the re-ack is what stops its retransmits).
+  frame.erase(frame.begin(),
+              frame.begin() + static_cast<std::ptrdiff_t>(kHeaderLanes));
+  Payload ack = BuildFrame(pool_, kKindAck, *seq,
+                           FrameCrc(kKindAck, *seq, nullptr, 0), {});
+  bool duplicate = false;
   {
     common::MutexLock lock(mu_);
     RxChannel& ch = rx_[{rank, src, tag}];
-    if (*seq < ch.expected || ch.stash.count(*seq) != 0) {
+    duplicate = *seq < ch.expected || ch.stash.count(*seq) != 0;
+    if (duplicate) {
       ++stats_.duplicates_discarded;
-      pool_.Release(std::move(frame));
     } else {
-      Payload body = pool_.Acquire(body_lanes);
-      std::copy(frame.begin() + kHeaderLanes, frame.end(), body.begin());
-      pool_.Release(std::move(frame));
-      ch.stash.emplace(*seq, std::move(body));
+      ch.stash.emplace(*seq, std::move(frame));
     }
     ++stats_.acks_sent;
   }
+  if (duplicate) pool_.Release(std::move(frame));
   AckCounter().Add();
   acks_out.emplace_back(rank, src, tag, std::move(ack));
+}
+
+void ReliableTransport::DrainMailbox(int rank, int src, int tag,
+                                     FrameList& acks_out) {
+  while (auto raw = inner_.TryRecv(rank, src, tag)) {
+    ProcessRawFrame(rank, src, tag, *std::move(raw), acks_out);
+  }
+}
+
+void ReliableTransport::SendAll(FrameList& frames) {
+  for (auto& [s, d, t, frame] : frames) inner_.Send(s, d, t, std::move(frame));
+  frames.clear();
 }
 
 std::optional<Payload> ReliableTransport::TakeExpectedLocked(RxChannel& ch) {
@@ -259,7 +272,7 @@ Result<Payload> ReliableTransport::RecvFor(int rank, int src, int tag,
     common::MutexLock lock(mu_);
     ++rx_[{rank, src, tag}].consumers;
   }
-  std::vector<std::tuple<int, int, int, Payload>> acks;
+  FrameList acks;
   const auto finish = [&](Result<Payload> r) -> Result<Payload> {
     common::MutexLock lock(mu_);
     --rx_[{rank, src, tag}].consumers;
@@ -293,8 +306,7 @@ Result<Payload> ReliableTransport::RecvFor(int rank, int src, int tag,
     Result<Payload> raw = inner_.RecvFor(rank, src, tag, wait);
     if (raw.ok()) {
       ProcessRawFrame(rank, src, tag, *std::move(raw), acks);
-      for (auto& [s, d, t, ack] : acks) inner_.Send(s, d, t, std::move(ack));
-      acks.clear();
+      SendAll(acks);
     } else if (raw.status().code() != StatusCode::kDeadlineExceeded &&
                raw.status().code() != StatusCode::kUnavailable) {
       return finish(raw.status());
@@ -304,11 +316,9 @@ Result<Payload> ReliableTransport::RecvFor(int rank, int src, int tag,
 }
 
 std::optional<Payload> ReliableTransport::TryRecv(int rank, int src, int tag) {
-  std::vector<std::tuple<int, int, int, Payload>> acks;
-  while (auto raw = inner_.TryRecv(rank, src, tag)) {
-    ProcessRawFrame(rank, src, tag, *std::move(raw), acks);
-  }
-  for (auto& [s, d, t, ack] : acks) inner_.Send(s, d, t, std::move(ack));
+  FrameList acks;
+  DrainMailbox(rank, src, tag, acks);
+  SendAll(acks);
   common::MutexLock lock(mu_);
   RxChannel& ch = rx_[{rank, src, tag}];
   auto body = TakeExpectedLocked(ch);
@@ -347,16 +357,14 @@ void ReliableTransport::DaemonTick() {
       if (rx.consumers == 0) to_poll.emplace_back(src, dst, tag);
     }
   }
-  std::vector<std::tuple<int, int, int, Payload>> acks;
+  FrameList acks;
   for (const auto& [rank, src, tag] : to_poll) {
-    while (auto raw = inner_.TryRecv(rank, src, tag)) {
-      ProcessRawFrame(rank, src, tag, *std::move(raw), acks);
-    }
+    DrainMailbox(rank, src, tag, acks);
   }
-  for (auto& [s, d, t, ack] : acks) inner_.Send(s, d, t, std::move(ack));
+  SendAll(acks);
 
   // 2. Retransmit overdue frames; expire frames past the message deadline.
-  std::vector<std::tuple<int, int, int, Payload>> resend;
+  FrameList resend;
   std::vector<Payload> expired;
   std::uint64_t expired_count = 0;
   std::uint64_t resent_count = 0;
@@ -374,16 +382,18 @@ void ReliableTransport::DaemonTick() {
               telemetry::FlightSeverity::kError, "transport.reliable",
               "delivery-failure", src, /*channel=*/-1, tag,
               /*detail0=*/dst, /*detail1=*/it->first);
-          expired.push_back(std::move(frame.wire));
+          expired.push_back(std::move(frame.body));
           it = ch.inflight.erase(it);
           ++stats_.delivery_failures;
           ++expired_count;
           continue;
         }
         if (now >= frame.next_resend) {
-          Payload clone = pool_.Acquire(frame.wire.size());
-          std::copy(frame.wire.begin(), frame.wire.end(), clone.begin());
-          resend.emplace_back(src, dst, tag, std::move(clone));
+          // Rebuilt from the retained body under mu_: an ack may retire
+          // the frame the moment the lock drops. Clean runs rarely get here.
+          resend.emplace_back(src, dst, tag,
+                              BuildFrame(pool_, kKindData, it->first,
+                                         frame.crc, frame.body));
           frame.rto_ms = std::min(frame.rto_ms * 2, options_.rto_max_ms);
           frame.next_resend = now + std::chrono::milliseconds(frame.rto_ms);
           ++stats_.retransmits;

@@ -11,27 +11,35 @@
 //     from data by a kind lane — necessary because AllToAll runs both
 //     directions of a rank pair on one tag); duplicates are re-acked and
 //     discarded, out-of-order arrivals are stashed and delivered in order;
-//   * the sender keeps a pooled copy of every unacked frame and a background
-//     retransmit daemon resends on a capped exponential backoff
-//     (rto_initial_ms doubling to rto_max_ms) until the ack arrives or the
-//     per-message deadline expires — at which point the message is dropped
-//     and the *receiver's* RecvFor deadline surfaces the failure to tier 2
+//   * the sender retains the caller's payload (not a wire copy) of every
+//     unacked frame, with its CRC, and builds the wire frame from it at each
+//     (re)send — one body copy per transmission. A background retransmit
+//     daemon resends on a capped exponential backoff (rto_initial_ms
+//     doubling to rto_max_ms) until the ack arrives or the per-message
+//     deadline expires — at which point the message is dropped and the
+//     *receiver's* RecvFor deadline surfaces the failure to tier 2
 //     (channel quarantine) or tier 3 (checkpoint recovery);
 //   * a corrupted frame fails its CRC, is counted and discarded, and heals
 //     through the normal retransmit path — corruption is just loss.
 //
-// All retransmit copies and delivered bodies come from a BufferPool, so the
-// steady state of a fixed communication pattern performs zero payload
-// allocations even while retransmitting (asserted in tests/reliable_test).
+// All wire frames, retained bodies and delivered bodies are pooled (a
+// received frame becomes the delivered body by stripping its header in
+// place), so the steady state of a fixed communication pattern performs
+// zero payload allocations even while retransmitting (asserted in
+// tests/reliable_test).
 //
 // Concurrency: one internal mutex (lock_rank::kReliableTransport, *below*
 // kTransport so the daemon may call into a decorated FaultyTransport while
-// holding it) guards the tx/rx channel maps. Consumers pull their own
-// (src, tag) channel from the inner transport in short quanta and feed every
-// frame (data or ack) through the shared demux; the daemon drains channels
-// with no active consumer so acks never rot in an unread mailbox. Sends to
-// the inner transport happen *outside* the mutex (a fault decorator may
-// sleep in Send).
+// holding it) guards the tx/rx channel maps and nothing else: sequence
+// allocation, inflight insert/erase, stash and counters. CRC computation,
+// frame builds and header strips run outside it, so concurrent streams
+// only serialize on map bookkeeping. Consumers pull their own (src, tag)
+// channel from the inner transport in short quanta and feed every frame
+// (data or ack) through the shared demux. A sender retires the acks
+// waiting in its own channel's mailbox right after each Send, and the
+// daemon drains every channel with no active consumer each tick, so acks
+// never rot in an unread mailbox. Sends to the inner transport happen
+// *outside* the mutex (a fault decorator may sleep in Send).
 //
 // Telemetry (process registry): `reliable.retransmits`,
 // `reliable.crc_failures`, `reliable.delivery_failures`, `reliable.acks`.
@@ -44,6 +52,7 @@
 #include <optional>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "common/buffer_pool.h"
 #include "common/status.h"
@@ -122,9 +131,11 @@ class ReliableTransport final : public Transport {
  private:
   using ChannelKey = std::tuple<int, int, int>;
 
-  /// One unacked frame: the pooled wire copy plus its retransmit clock.
+  /// One unacked frame: the caller's body, its frame CRC, and its
+  /// retransmit clock. The wire frame is rebuilt from these at each resend.
   struct TxFrame {
-    Payload wire;  // full frame (header + body), retransmitted verbatim
+    Payload body;
+    std::uint32_t crc = 0;
     std::chrono::steady_clock::time_point first_sent;
     std::chrono::steady_clock::time_point next_resend;
     std::int64_t rto_ms = 0;
@@ -139,12 +150,19 @@ class ReliableTransport final : public Transport {
     int consumers = 0;  // active Recv/RecvFor pullers (daemon skips if > 0)
   };
 
+  /// Frames to hand to the inner transport, as (src, dst, tag, frame).
+  using FrameList = std::vector<std::tuple<int, int, int, Payload>>;
+
   /// Feed one raw frame from the inner transport through the demux;
   /// collects any ack frame to send into `acks_out` (sent by the caller
   /// outside the mutex). `rank` is the receiving rank, `src` the peer.
   void ProcessRawFrame(int rank, int src, int tag, Payload frame,
-                       std::vector<std::tuple<int, int, int, Payload>>&
-                           acks_out);
+                       FrameList& acks_out);
+  /// Feed everything pending in the inner (rank, src, tag) mailbox through
+  /// ProcessRawFrame, without blocking.
+  void DrainMailbox(int rank, int src, int tag, FrameList& acks_out);
+  /// Send every collected frame on the inner transport; empties `frames`.
+  void SendAll(FrameList& frames);
   /// Take the next in-order body if present.
   std::optional<Payload> TakeExpectedLocked(RxChannel& ch) REQUIRES(mu_);
   void DaemonLoop();

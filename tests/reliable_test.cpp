@@ -2,21 +2,24 @@
 // fault mix the chaos layer can throw (drop/dup/reorder/corrupt/straggler,
 // separately and combined), bidirectional traffic on one tag, strict
 // TryRecv, deadline hand-off to the upper tiers, zero steady-state buffer
-// allocations, collectives running bit-exact through chaos at every
-// pipeline depth and channel count, and the fault-schedule JSON replay
-// round-trip.
+// allocations (tiny bodies and the engine's 64 KiB slices), collectives
+// running bit-exact through chaos at every pipeline depth and channel
+// count, the frame CRC against its standard check value and a bytewise
+// reference, and the fault-schedule JSON replay round-trip.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "collective/tags.h"
 #include "collective/threaded.h"
 #include "common/buffer_pool.h"
 #include "common/rng.h"
+#include "transport/crc32.h"
 #include "transport/fault_schedule.h"
 #include "transport/faulty.h"
 #include "transport/inproc.h"
@@ -206,44 +209,53 @@ TEST(ReliableTransportTest, MessageDeadlineHandsOffToUpperTiers) {
   EXPECT_GE(rel.stats().retransmits, 1u);
 }
 
-// Retransmit copies, wire frames, acks, and delivered bodies all cycle
+// Retained bodies, wire frames, acks, and delivered bodies all cycle
 // through the BufferPool: once the communication pattern's buffer classes
 // are warm, a retransmitting steady state allocates nothing. (Delay faults
 // rather than drops: a *dropped* frame is destroyed inside the chaos
 // decorator — a test-only device that consumes buffers a real wire would
 // never have owned — while delays exercise the genuine retransmit +
 // duplicate-discard path with every buffer eventually returning home.)
-TEST(ReliableTransportTest, ZeroSteadyStateAllocations) {
+//
+// `prime` lists (request size, count) pairs that deep-prime the pool before
+// the run, one entry per distinct size class in play. When the consumer
+// thread is starved by a loaded machine, the daemon keeps building resends
+// every rto, so the transient buffer population can burst well past what
+// serial warm-up pings would populate.
+void ExpectZeroSteadyStateAllocations(
+    std::size_t lanes, std::uint64_t seed,
+    const std::vector<std::pair<std::size_t, int>>& prime) {
   FaultSpec spec;
-  spec.seed = 24;
+  spec.seed = seed;
   spec.delivery = FaultDelivery::kRaw;
   spec.all_links.delay_prob = 0.3;
   spec.all_links.max_delay_ms = 15.0;  // >> rto: forces retransmits
   InProcTransport inner(2);
   FaultyTransport faulty(inner, spec);
   common::BufferPool pool;
-  // Deep-prime the (single) size class the reliable path uses: when the
-  // consumer thread is starved by a loaded machine, the daemon keeps
-  // cloning retransmits every rto, so the transient buffer population can
-  // burst well past what serial warm-up pings would populate.
   {
-    std::vector<Payload> prime;
-    for (int i = 0; i < 128; ++i) prime.push_back(pool.Acquire(12));
-    for (auto& p : prime) pool.Release(std::move(p));
+    std::vector<Payload> held;
+    for (const auto& [n, count] : prime) {
+      for (int i = 0; i < count; ++i) held.push_back(pool.Acquire(n));
+    }
+    for (auto& p : held) pool.Release(std::move(p));
   }
   ReliableOptions opts;
   opts.pool = &pool;
   opts.rto_initial_ms = 2;
   opts.rto_max_ms = 8;
   ReliableTransport rel(faulty, opts);
+  const auto lane = [](int i, std::size_t j) {
+    return static_cast<float>(i) + 0.5f * static_cast<float>(j % 64);
+  };
   auto ping = [&](int i) {
-    Payload body = pool.Acquire(8);
-    for (std::size_t j = 0; j < body.size(); ++j) {
-      body[j] = static_cast<float>(i + static_cast<int>(j));
-    }
+    Payload body = pool.Acquire(lanes);
+    for (std::size_t j = 0; j < lanes; ++j) body[j] = lane(i, j);
     rel.Send(0, 1, 6, std::move(body));
     auto p = rel.Recv(1, 0, 6);
     ASSERT_TRUE(p.ok());
+    ASSERT_EQ(p->size(), lanes);
+    for (std::size_t j = 0; j < lanes; ++j) ASSERT_EQ((*p)[j], lane(i, j));
     pool.Release(std::move(*p));
   };
   for (int i = 0; i < 200; ++i) ping(i);  // warm the classes
@@ -253,6 +265,64 @@ TEST(ReliableTransportTest, ZeroSteadyStateAllocations) {
       << "steady-state retransmission allocated fresh buffers";
   EXPECT_GT(rel.stats().retransmits, 0u)
       << "delays never forced a retransmit; the assertion proved nothing";
+}
+
+TEST(ReliableTransportTest, ZeroSteadyStateAllocations) {
+  // Wire frames (12 lanes), retained bodies and acks all fall into the
+  // smallest size class.
+  ExpectZeroSteadyStateAllocations(/*lanes=*/8, /*seed=*/24, {{12, 128}});
+}
+
+// The engine's 64 KiB slice: 16384 lanes, a power of two, so its wire frame
+// lands one size class above the retained body. Covers the retained-body
+// resend, the in-place header strip and send-path ack retirement at the
+// sizes the engine actually sends.
+TEST(ReliableTransportTest, ZeroSteadyStateAllocationsAtSliceSize) {
+  // Wire frames (body + 4 header lanes; delivered bodies keep this
+  // capacity), retained bodies, and acks: three distinct classes.
+  ExpectZeroSteadyStateAllocations(/*lanes=*/16384, /*seed=*/25,
+                                   {{16384 + 4, 128}, {16384, 32}, {4, 128}});
+}
+
+// ------------------------------------------------------------ frame CRC ---
+
+/// Bit-at-a-time CRC-32 (reflected, poly 0xEDB88320), independent of the
+/// table-driven implementation under test.
+std::uint32_t ReferenceCrc32(const unsigned char* p, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, StandardCheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32Update(0xFFFFFFFFu, check, 9) ^ 0xFFFFFFFFu, 0xCBF43926u);
+  EXPECT_EQ(Crc32Update(0xFFFFFFFFu, nullptr, 0) ^ 0xFFFFFFFFu, 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtUnalignedOffsets) {
+  Rng rng(91);
+  std::vector<unsigned char> buf(300 + 8);
+  for (int trial = 0; trial < 2000; ++trial) {
+    for (auto& b : buf) b = static_cast<unsigned char>(rng.NextU64());
+    const auto offset = static_cast<std::size_t>(rng.UniformInt(0, 7));
+    const auto len = static_cast<std::size_t>(rng.UniformInt(0, 300));
+    const unsigned char* p = buf.data() + offset;
+    const std::uint32_t want = ReferenceCrc32(p, len);
+    ASSERT_EQ(Crc32Update(0xFFFFFFFFu, p, len) ^ 0xFFFFFFFFu, want)
+        << "len " << len << " offset " << offset;
+    // Chaining over a split point equals one pass over the whole range.
+    const auto cut = static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(len)));
+    const std::uint32_t chained =
+        Crc32Update(Crc32Update(0xFFFFFFFFu, p, cut), p + cut, len - cut);
+    ASSERT_EQ(chained ^ 0xFFFFFFFFu, want) << "len " << len << " cut " << cut;
+  }
 }
 
 // --------------------------------- collectives through the chaos stack ---

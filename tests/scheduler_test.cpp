@@ -1,9 +1,11 @@
 // DAG-scheduler suite (ctest label "scheduler"): ready-set dispatch order,
 // aging/starvation-freedom, cooperative preemption mid-bulk-transfer, the
 // bit-exactness matrix across priority x streams x depth x codec, the
-// zero-allocation steady state of the scheduler hot path, and the
+// zero-allocation steady state of the scheduler hot path, the
 // optimizer/comm-overlap exactness guarantee (engine-applied StepTensor ==
-// barriered Step, bitwise).
+// barriered Step, bitwise), the optimizer's BeginIteration timing, and a
+// many-iteration stress run that turns a lost completion wakeup into a
+// failure.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +13,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "collective/threaded.h"
@@ -421,6 +425,119 @@ TEST(SchedulerExactnessTest, WaitGradientUnblocksAndDeliversAverage) {
   for (auto& t : threads) t.join();
   engine.Shutdown();
   EXPECT_FALSE(failed.load());
+}
+
+/// Counts BeginIteration calls; steps nothing.
+class CountingOptimizer final : public Optimizer {
+ public:
+  void BeginIteration(const std::vector<std::span<float>>&) override {
+    begins.fetch_add(1, std::memory_order_relaxed);
+  }
+  void StepTensor(std::size_t, std::span<float>, std::span<const float>,
+                  double) override {}
+  [[nodiscard]] std::string Name() const override { return "counting"; }
+  [[nodiscard]] std::vector<std::vector<float>> ExportState() const override {
+    return {};
+  }
+  void ImportState(std::vector<std::vector<float>>) override {}
+
+  std::atomic<int> begins{0};
+};
+
+TEST(SchedulerExactnessTest, BeginIterationRunsOncePerStartedIteration) {
+  // The engine opens an iteration on the bound optimizer only once the
+  // caller has pushed into it: K iterations and a Shutdown make exactly K
+  // BeginIteration calls, never a (K+1)-th on an optimizer the caller may
+  // already have destroyed.
+  constexpr int kWorld = 2;
+  constexpr int kIters = 5;
+  CommConfig config;
+  config.num_streams = 2;
+  std::vector<CountingOptimizer> opts(kWorld);
+  std::atomic<bool> failed{false};
+  ThreadedAiaccEngine engine(kWorld, config);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kWorld; ++r) {
+    threads.emplace_back([&, r] {
+      auto& worker = engine.worker(r);
+      std::vector<float> grad(256, 1.0f);
+      std::vector<float> param(256, 0.0f);
+      if (!worker.Register("g", grad).ok()) {
+        failed.store(true);
+        return;
+      }
+      worker.BindParameter("g", param);
+      worker.BindOptimizer(&opts[static_cast<std::size_t>(r)], 0.1);
+      worker.Finalize();
+      for (int it = 0; it < kIters; ++it) {
+        worker.PushAll();
+        if (!worker.WaitIteration().ok()) failed.store(true);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  // Give the protocol loops time to reach the next iteration's first pop.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  engine.Shutdown();
+  EXPECT_FALSE(failed.load());
+  for (const auto& o : opts) EXPECT_EQ(o.begins.load(), kIters);
+}
+
+TEST(SchedulerStressTest, ThousandsOfTinyIterationsNeverLoseAWakeup) {
+  // A completion notify that lands between the protocol's check of the
+  // outstanding-gradient count and its wait would strand that rank; the
+  // collective timeout turns the stranded rank into an abort on its peers,
+  // so a lost wakeup fails this test within seconds instead of hanging it.
+  constexpr int kWorld = 4;
+  constexpr int kIters = 2000;
+  constexpr std::size_t kTensors = 4;
+  CommConfig config;
+  config.num_streams = 4;
+  config.granularity_bytes = 64;  // one unit per tensor
+  FailureConfig failure;
+  failure.collective_timeout_ms = 5000;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  std::atomic<bool> failed{false};
+  std::atomic<int> completed{0};
+  ThreadedAiaccEngine engine(kWorld, config, std::move(failure));
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kWorld; ++r) {
+    threads.emplace_back([&, r] {
+      auto& worker = engine.worker(r);
+      std::vector<std::vector<float>> grads(kTensors,
+                                            std::vector<float>(16));
+      for (std::size_t t = 0; t < kTensors; ++t) {
+        const std::string name = "g" + std::to_string(t);
+        if (!worker.Register(name, grads[t]).ok()) {
+          failed.store(true);
+          return;
+        }
+      }
+      worker.Finalize();
+      for (int it = 0; it < kIters; ++it) {
+        for (auto& g : grads) {
+          std::fill(g.begin(), g.end(), static_cast<float>(r + it));
+        }
+        worker.PushAll();
+        if (!worker.WaitIteration().ok() ||
+            std::chrono::steady_clock::now() > deadline) {
+          failed.store(true);
+          return;
+        }
+        // Average of r + it over the ranks: exact in float.
+        if (grads[0][0] != static_cast<float>(it) + 1.5f) {
+          failed.store(true);
+          return;
+        }
+      }
+      completed.fetch_add(1);
+    });
+  }
+  for (auto& t : threads) t.join();
+  engine.Shutdown();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(completed.load(), kWorld);
 }
 
 }  // namespace
