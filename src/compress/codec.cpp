@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "compress/scalar.h"
 #include "telemetry/metrics.h"
 
 namespace aiacc::compress {
@@ -23,23 +22,6 @@ telemetry::Counter& WireFloatsCounter() {
   static telemetry::Counter& counter =
       telemetry::MetricsRegistry::Global().GetCounter("compress.wire_floats");
   return counter;
-}
-
-/// Two 16-bit lanes packed into one 32-bit wire word. Always assembled /
-/// disassembled through uint32 + bit_cast — never type-punned — so the
-/// packing is identical on every platform and survives any float-preserving
-/// transport.
-constexpr std::uint32_t PackLanes(std::uint16_t lo, std::uint16_t hi) {
-  return static_cast<std::uint32_t>(lo) |
-         (static_cast<std::uint32_t>(hi) << 16);
-}
-
-std::uint16_t EncodeScalar(CodecKind kind, float v) noexcept {
-  return kind == CodecKind::kFp16 ? FloatToHalf(v) : FloatToBf16(v);
-}
-
-float DecodeScalar(CodecKind kind, std::uint16_t v) noexcept {
-  return kind == CodecKind::kFp16 ? HalfToFloat(v) : Bf16ToFloat(v);
 }
 
 /// 1-bit wire layout: [pos_mean, neg_mean, mask words...].
@@ -214,35 +196,6 @@ std::size_t MaxWireFloats(const CodecSpec& spec, std::size_t n) noexcept {
       return 1 + 2 * TopKCount(n, spec.topk_ratio);
   }
   return n;
-}
-
-void CastEncode(CodecKind kind, std::span<const float> src,
-                std::span<float> dst) noexcept {
-  const std::size_t n = src.size();
-  const std::size_t pairs = n / 2;
-  for (std::size_t i = 0; i < pairs; ++i) {
-    dst[i] = std::bit_cast<float>(PackLanes(EncodeScalar(kind, src[2 * i]),
-                                            EncodeScalar(kind, src[2 * i + 1])));
-  }
-  if (n % 2 != 0) {
-    dst[pairs] =
-        std::bit_cast<float>(PackLanes(EncodeScalar(kind, src[n - 1]), 0));
-  }
-}
-
-void CastDecode(CodecKind kind, std::span<const float> src,
-                std::span<float> dst, std::size_t count) noexcept {
-  const std::size_t pairs = count / 2;
-  for (std::size_t i = 0; i < pairs; ++i) {
-    const auto word = std::bit_cast<std::uint32_t>(src[i]);
-    dst[2 * i] = DecodeScalar(kind, static_cast<std::uint16_t>(word & 0xFFFFu));
-    dst[2 * i + 1] = DecodeScalar(kind, static_cast<std::uint16_t>(word >> 16));
-  }
-  if (count % 2 != 0) {
-    const auto word = std::bit_cast<std::uint32_t>(src[pairs]);
-    dst[count - 1] =
-        DecodeScalar(kind, static_cast<std::uint16_t>(word & 0xFFFFu));
-  }
 }
 
 std::size_t SparseEncode(const CodecSpec& spec, std::span<const float> src,

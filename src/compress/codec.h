@@ -19,7 +19,8 @@
 //    gradient, which is what makes 1-bit/top-k SGD converge.
 //
 // Wire formats (all lanes are 32-bit float words; 16-bit values are packed
-// two per word via bit_cast, never type-punned):
+// two per word, written through memcpy or vector stores, never through a
+// type-punned pointer):
 //
 //   fp16/bf16:  ceil(n/2) words, element 2i in the low 16 bits of word i,
 //               element 2i+1 in the high 16 bits. No header: the decoded
@@ -33,6 +34,22 @@
 //               pairs in ascending index order. k = clamp(round(ratio*n),
 //               1, n); ties at the k-th largest magnitude are broken by
 //               index order, so the selection is deterministic.
+//
+// Cast kernels (compress/cast.cpp): the fp16/bf16 casts run as 8-wide
+// vector kernels — F16C `_mm256_cvtps_ph` (round to nearest even) and
+// `_mm256_cvtph_ps` for fp16, AVX2 integer round-to-nearest-even plus a
+// shift for bf16 — and are bit-identical to the scalar element functions
+// in compress/scalar.h, which stay the reference. Dispatch happens once per
+// process: on x86-64 a CPU with AVX2 and F16C gets the vector kernels, any
+// other CPU or architecture gets the scalar loop. The kernels carry their
+// own `target("avx2,f16c")` attribute, so no -march flag, CMake option,
+// environment variable or config field selects them: a build runs on any
+// x86-64 and uses the fastest path the CPU has. Raw F16C differs from the
+// scalar codec only on NaN lanes — it keeps NaN payload bits on encode
+// (7156 mismatches over 1.8M rounding-boundary words) and quiets signalling
+// NaNs on decode (1022 of the 65536 halves) — so an 8-lane block holding a
+// NaN (encode) or an all-ones fp16 exponent (decode) runs the scalar
+// reference instead; so do the tails shorter than a block.
 //
 // All scratch is acquired from a common::BufferPool — the codec layer
 // preserves the repo's zero-steady-state-allocation guarantee (the raw-alloc
@@ -116,6 +133,15 @@ void CastEncode(CodecKind kind, std::span<const float> src,
 /// `count` elements of `dst`. `kind` must be a cast codec.
 void CastDecode(CodecKind kind, std::span<const float> src,
                 std::span<float> dst, std::size_t count) noexcept;
+
+/// Encode `src` into one 16-bit lane per element (dst.size() >=
+/// src.size()) — the unpacked twin of CastEncode, same kernels.
+void CastEncodeLanes(CodecKind kind, std::span<const float> src,
+                     std::span<std::uint16_t> dst) noexcept;
+
+/// Decode every lane of `src` into the first src.size() elements of `dst`.
+void CastDecodeLanes(CodecKind kind, std::span<const std::uint16_t> src,
+                     std::span<float> dst) noexcept;
 
 /// Encode `src` with a sparse codec into `wire` (sized via MaxWireFloats).
 /// Returns the number of wire words actually written. `pool` provides

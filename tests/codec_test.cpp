@@ -12,7 +12,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "autotune/tuning_cache.h"
@@ -30,6 +33,8 @@
 #include "transport/faulty.h"
 #include "transport/inproc.h"
 #include "transport/reliable.h"
+
+#include "pool_prime.h"
 
 namespace aiacc {
 namespace {
@@ -137,6 +142,231 @@ TEST(CastWireTest, RoundtripAtOddLengths) {
                 : compress::Bf16ToFloat(compress::FloatToBf16(src[i]));
         EXPECT_EQ(out[i], want) << "kind=" << static_cast<int>(kind)
                                 << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+// --------------------------------------------- dispatched cast kernels ----
+//
+// CastEncode/CastDecode (and their unpacked *Lanes twins) run whichever
+// kernel the CPU supports — 8-wide F16C/AVX2 blocks or the scalar loop —
+// and either way every lane must equal the scalar element functions bit
+// for bit, NaN payloads included.
+
+std::uint16_t ScalarEncode(CodecKind kind, float v) {
+  return kind == CodecKind::kFp16 ? compress::FloatToHalf(v)
+                                  : compress::FloatToBf16(v);
+}
+
+float ScalarDecode(CodecKind kind, std::uint16_t h) {
+  return kind == CodecKind::kFp16 ? compress::HalfToFloat(h)
+                                  : compress::Bf16ToFloat(h);
+}
+
+/// Lane i of packed wire words (element 2i in the low half of word i).
+std::uint16_t WireLane(std::span<const float> wire, std::size_t i) {
+  const auto word = std::bit_cast<std::uint32_t>(wire[i / 2]);
+  return static_cast<std::uint16_t>(i % 2 == 0 ? word & 0xFFFFu : word >> 16);
+}
+
+std::vector<float> PackWire(std::span<const std::uint16_t> lanes) {
+  std::vector<float> wire(compress::CastWireFloats(lanes.size()));
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    const std::uint32_t shifted = static_cast<std::uint32_t>(lanes[i])
+                                  << (i % 2 == 0 ? 0 : 16);
+    wire[i / 2] =
+        std::bit_cast<float>(std::bit_cast<std::uint32_t>(wire[i / 2]) |
+                             shifted);
+  }
+  return wire;
+}
+
+/// Encodes `src` through both dispatched entry points and counts lanes that
+/// differ from the scalar reference (reporting the first one).
+void ExpectEncodeMatchesScalar(CodecKind kind, std::span<const float> src) {
+  std::vector<float> wire(compress::CastWireFloats(src.size()));
+  std::vector<std::uint16_t> lanes(src.size());
+  compress::CastEncode(kind, src, wire);
+  compress::CastEncodeLanes(kind, src, lanes);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    const std::uint16_t want = ScalarEncode(kind, src[i]);
+    if (WireLane(wire, i) == want && lanes[i] == want) continue;
+    if (mismatches++ == 0) {
+      ADD_FAILURE() << compress::ToString(kind) << " encode of float 0x"
+                    << std::hex << std::bit_cast<std::uint32_t>(src[i])
+                    << " at " << std::dec << i << ": wire 0x" << std::hex
+                    << WireLane(wire, i) << ", lanes 0x" << lanes[i]
+                    << ", scalar 0x" << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << compress::ToString(kind);
+}
+
+void ExpectDecodeMatchesScalar(CodecKind kind,
+                               std::span<const std::uint16_t> lanes) {
+  const std::vector<float> wire = PackWire(lanes);
+  std::vector<float> from_wire(lanes.size());
+  std::vector<float> from_lanes(lanes.size());
+  compress::CastDecode(kind, wire, from_wire, lanes.size());
+  compress::CastDecodeLanes(kind, lanes, from_lanes);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    const auto want = std::bit_cast<std::uint32_t>(ScalarDecode(kind, lanes[i]));
+    if (std::bit_cast<std::uint32_t>(from_wire[i]) == want &&
+        std::bit_cast<std::uint32_t>(from_lanes[i]) == want) {
+      continue;
+    }
+    if (mismatches++ == 0) {
+      ADD_FAILURE() << compress::ToString(kind) << " decode of 0x" << std::hex
+                    << lanes[i] << " at " << std::dec << i << ": wire 0x"
+                    << std::hex << std::bit_cast<std::uint32_t>(from_wire[i])
+                    << ", lanes 0x"
+                    << std::bit_cast<std::uint32_t>(from_lanes[i])
+                    << ", scalar 0x" << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << compress::ToString(kind);
+}
+
+TEST(CastKernelTest, DecodeEvery16BitPattern) {
+  std::vector<std::uint16_t> lanes(0x10000);
+  for (std::uint32_t h = 0; h <= 0xFFFFu; ++h) {
+    lanes[h] = static_cast<std::uint16_t>(h);
+  }
+  for (const CodecKind kind : {CodecKind::kFp16, CodecKind::kBf16}) {
+    ExpectDecodeMatchesScalar(kind, lanes);
+  }
+}
+
+/// Every float whose top bits vary over [0, 2^(32 - low_bits)), with the
+/// dropped low bits fixed to each of `lows`.
+void ExpectEncodeBoundariesMatchScalar(CodecKind kind, int low_bits,
+                                       std::initializer_list<std::uint32_t> lows) {
+  std::vector<float> src(std::size_t{1} << (32 - low_bits));
+  for (const std::uint32_t low : lows) {
+    for (std::size_t hi = 0; hi < src.size(); ++hi) {
+      src[hi] = std::bit_cast<float>(
+          (static_cast<std::uint32_t>(hi) << low_bits) | low);
+    }
+    ExpectEncodeMatchesScalar(kind, src);
+  }
+}
+
+// fp16 drops 13 mantissa bits: round-bit/sticky boundaries, plus every
+// subnormal, overflow, Inf and NaN pattern the top 19 bits can reach.
+TEST(CastKernelTest, Fp16EncodeRoundingBoundaries) {
+  ExpectEncodeBoundariesMatchScalar(
+      CodecKind::kFp16, 13,
+      {0x0u, 0x1u, 0x7FFu, 0x800u, 0x801u, 0xFFFu, 0x1000u, 0x1001u, 0x1FFFu});
+}
+
+TEST(CastKernelTest, Bf16EncodeRoundingBoundaries) {
+  ExpectEncodeBoundariesMatchScalar(
+      CodecKind::kBf16, 16, {0x0u, 0x1u, 0x7FFFu, 0x8000u, 0x8001u, 0xFFFFu});
+}
+
+// A block with one special lane must take the scalar path for that lane
+// (or produce the identical bits) without disturbing its seven neighbours.
+TEST(CastKernelTest, SpecialValueAtEveryLane) {
+  const std::vector<std::uint32_t> special_floats = {
+      0x7FC00000u,  // quiet NaN
+      0x7F800001u,  // signalling NaN, payload only in the low bits
+      0xFFC12345u,  // negative quiet NaN with payload
+      0x7F800000u,  // +Inf
+      0xFF800000u,  // -Inf
+      0x00000001u,  // smallest float subnormal
+      0x35800000u,  // 2^-20: an fp16 subnormal
+  };
+  const std::vector<std::uint16_t> special_halves = {
+      0x7C01u, 0xFE00u, 0x7C00u, 0xFC00u, 0x0001u, 0x83FFu,  // fp16
+      0x7F81u, 0xFFC0u, 0x7F80u, 0xFF80u, 0x0001u, 0x807Fu,  // bf16
+  };
+  Rng rng(17);
+  std::vector<float> base(16);
+  for (float& x : base) x = static_cast<float>(rng.Uniform(-4.0, 4.0));
+  for (const CodecKind kind : {CodecKind::kFp16, CodecKind::kBf16}) {
+    std::vector<std::uint16_t> base_lanes(base.size());
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      base_lanes[i] = ScalarEncode(kind, base[i]);
+    }
+    for (std::size_t lane = 0; lane < 8; ++lane) {
+      for (const std::uint32_t bits : special_floats) {
+        std::vector<float> src = base;
+        src[lane] = std::bit_cast<float>(bits);
+        src[8 + lane] = std::bit_cast<float>(bits);
+        ExpectEncodeMatchesScalar(kind, src);
+      }
+      for (const std::uint16_t h : special_halves) {
+        std::vector<std::uint16_t> lanes = base_lanes;
+        lanes[lane] = h;
+        lanes[8 + lane] = h;
+        ExpectDecodeMatchesScalar(kind, lanes);
+      }
+    }
+  }
+}
+
+// Lengths 0..33 at source offsets 0..7 cover empty input, tails shorter
+// than a block, whole blocks and block + tail at every alignment; the
+// source mixes specials into ordinary values so tails see them too. Writes
+// must stay inside CastWireFloats(n) words / n lanes / n floats.
+TEST(CastKernelTest, LengthsAndOffsets) {
+  constexpr std::uint32_t kSentinel = 0x7FBADBADu;
+  Rng rng(29);
+  std::vector<float> src(48);
+  for (float& x : src) x = static_cast<float>(rng.Uniform(-70000.0, 70000.0));
+  src[5] = std::bit_cast<float>(0x7F800001u);
+  src[13] = std::numeric_limits<float>::infinity();
+  src[22] = std::bit_cast<float>(0x33800000u);  // 2^-24, fp16 rounding edge
+  src[30] = std::bit_cast<float>(0xFFC12345u);
+  src[37] = 1e-3f;
+  for (const CodecKind kind : {CodecKind::kFp16, CodecKind::kBf16}) {
+    std::vector<std::uint16_t> all_lanes(src.size());
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      all_lanes[i] = ScalarEncode(kind, src[i]);
+    }
+    all_lanes[9] = kind == CodecKind::kFp16 ? 0x7C01u : 0x7F81u;
+    const std::vector<float> all_wire = PackWire(all_lanes);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t n = 0; n <= 33; ++n) {
+        SCOPED_TRACE(testing::Message()
+                     << compress::ToString(kind) << " offset=" << offset
+                     << " n=" << n);
+        const auto in = std::span<const float>(src).subspan(offset, n);
+        const std::size_t words = compress::CastWireFloats(n);
+        std::vector<float> wire(words + 1, std::bit_cast<float>(kSentinel));
+        compress::CastEncode(kind, in, wire);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(WireLane(wire, i), ScalarEncode(kind, in[i])) << i;
+        }
+        if (n % 2 != 0) {
+          ASSERT_EQ(WireLane(wire, n), 0u);  // zeroed high half
+        }
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(wire[words]), kSentinel);
+
+        const auto lanes =
+            std::span<const std::uint16_t>(all_lanes).subspan(offset, n);
+        std::vector<float> out(n + 1, std::bit_cast<float>(kSentinel));
+        compress::CastDecodeLanes(kind, lanes, out);
+        // Wire words at the same offset: their lanes start at 2 * offset.
+        std::vector<float> out_wire(n + 1, std::bit_cast<float>(kSentinel));
+        compress::CastDecode(kind,
+                             std::span<const float>(all_wire)
+                                 .subspan(offset, compress::CastWireFloats(n)),
+                             out_wire, n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                    std::bit_cast<std::uint32_t>(ScalarDecode(kind, lanes[i])))
+              << i;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(out_wire[i]),
+                    std::bit_cast<std::uint32_t>(
+                        ScalarDecode(kind, all_lanes[2 * offset + i])))
+              << i;
+        }
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(out[n]), kSentinel);
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(out_wire[n]), kSentinel);
       }
     }
   }
@@ -516,22 +746,44 @@ TEST(RingCodecMatrixTest, ChaosReliableComposition) {
   }
 }
 
-// After one warmup round, compressed collectives run entirely out of the
-// buffer pool: no payload allocations, no pool misses.
+// Compressed collectives run entirely out of the buffer pool: no payload
+// allocations, no pool misses in any round. The pool is primed with each
+// size class's worst-case population, derived from the algorithms:
+//  * cast ring: every rank holds one decode-scratch chunk for the whole
+//    collective and puts `depth` wire slices in flight in the reduce-scatter
+//    prologue; every later hop reuses a received payload.
+//  * CompressedAllReduce: every rank holds its own record plus one cursor
+//    per hop (`world` records, kept until the decode), and one len-sized
+//    scratch at a time — the top-k partition buffer, released before the
+//    error-feedback `decoded` buffer is taken. How many ranks' scratch
+//    overlaps depends on thread timing, so a single warm-up round can stop
+//    short of `world` of them; priming does not depend on the timing.
 TEST(RingCodecMatrixTest, ZeroSteadyStateAllocations) {
   for (const CodecSpec spec :
        {CodecSpec{CodecKind::kFp16}, CodecSpec{CodecKind::kTopK, 0.1f}}) {
     const int world = 2;
+    const int depth = 2;
     const std::size_t len = 1000;
+    const std::size_t chunk = (len + world - 1) / world;
+    const std::size_t slice = (chunk + depth - 1) / depth;
+    const std::vector<std::pair<std::size_t, int>> prime =
+        compress::IsSparse(spec.kind)
+            ? std::vector<std::pair<std::size_t, int>>{
+                  {compress::MaxWireFloats(spec, len), world * world},
+                  {len, world}}
+            : std::vector<std::pair<std::size_t, int>>{
+                  {compress::CastWireFloats(slice), world * depth},
+                  {chunk, world}};
     transport::InProcTransport tr(world);
     common::BufferPool pool;
+    test::PrimePool(pool, prime);
     auto round = [&] {
       auto data = MakeRankData(world, len, 77);
       std::vector<std::thread> threads;
       for (int r = 0; r < world; ++r) {
         threads.emplace_back([&, r] {
           collective::Comm comm{&tr, r, world, /*tag_base=*/1,
-                                /*timeout_ms=*/20000, &pool, 2};
+                                /*timeout_ms=*/20000, &pool, depth};
           comm.codec = spec;
           auto& vec = data[static_cast<std::size_t>(r)];
           std::vector<float> res;
@@ -550,10 +802,12 @@ TEST(RingCodecMatrixTest, ZeroSteadyStateAllocations) {
       }
       for (auto& t : threads) t.join();
     };
-    round();  // warmup populates the pool's size classes
-    const std::uint64_t misses0 = pool.stats().misses;
-    for (int i = 0; i < 4; ++i) round();
-    EXPECT_EQ(pool.stats().misses, misses0) << compress::ToString(spec);
+    for (int i = 0; i < 5; ++i) {
+      const std::uint64_t misses0 = pool.stats().misses;
+      round();
+      EXPECT_EQ(pool.stats().misses, misses0)
+          << compress::ToString(spec) << " round " << i;
+    }
   }
 }
 

@@ -25,6 +25,8 @@
 #include "transport/inproc.h"
 #include "transport/reliable.h"
 
+#include "pool_prime.h"
+
 namespace aiacc::transport {
 namespace {
 
@@ -233,13 +235,7 @@ void ExpectZeroSteadyStateAllocations(
   InProcTransport inner(2);
   FaultyTransport faulty(inner, spec);
   common::BufferPool pool;
-  {
-    std::vector<Payload> held;
-    for (const auto& [n, count] : prime) {
-      for (int i = 0; i < count; ++i) held.push_back(pool.Acquire(n));
-    }
-    for (auto& p : held) pool.Release(std::move(p));
-  }
+  test::PrimePool(pool, prime);
   ReliableOptions opts;
   opts.pool = &pool;
   opts.rto_initial_ms = 2;
