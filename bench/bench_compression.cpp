@@ -10,8 +10,9 @@
 // InProcTransport (cast codecs ride the sliced ring, sparse codecs the
 // record all-gather of CompressedAllReduce with per-rank error-feedback
 // residuals) and reports measured transport bytes via TotalPayloadBytes,
-// the reduction vs the raw-fp32 wire, per-all-reduce latency, and the
-// relative error of the final iteration against the exact fp32 average.
+// the reduction vs the raw-fp32 wire, per-all-reduce latency (after one
+// untimed warm-up all-reduce per codec), and the relative error of the
+// final iteration against the exact fp32 average.
 //
 // A second section demonstrates the per-tensor codec bandit
 // (compress::PerTensorCodecTuner): after a few dozen observed rounds it must
@@ -75,13 +76,15 @@ struct CodecResult {
   double rel_error = 0.0;
 };
 
-/// Run `iters` all-reduces of the generated workload at every rank and
-/// measure transport bytes + final-iteration error vs the exact average.
+/// Run one untimed warm-up all-reduce, then `iters` timed all-reduces of
+/// the generated workload at every rank, and measure transport bytes +
+/// final-iteration error vs the exact average. The warm-up takes the pool
+/// misses and first-touch page faults, so the timed window is steady state
+/// whichever codec a process measures first.
 template <typename Gen>
 CodecResult RunCodecPhase(const CodecSpec& spec, int world,
                           std::size_t elems, int iters, Gen gen) {
-  aiacc::transport::InProcTransport tr(
-      world, aiacc::transport::WakeMode::kTargeted);
+  aiacc::transport::InProcTransport tr(world);
   BufferPool pool;
   std::vector<float> rank0_result(elems);
   std::barrier<> gate(static_cast<std::ptrdiff_t>(world) + 1);
@@ -94,8 +97,7 @@ CodecResult RunCodecPhase(const CodecSpec& spec, int world,
       if (aiacc::compress::UsesErrorFeedback(spec.kind)) {
         residual.assign(elems, 0.0f);
       }
-      gate.arrive_and_wait();  // start line (main samples counters)
-      for (int it = 0; it < iters; ++it) {
+      auto all_reduce = [&] {
         for (std::size_t i = 0; i < elems; ++i) data[i] = gen(r, i);
         aiacc::collective::Comm comm{&tr,  r, world, /*tag_base=*/1,
                                      /*timeout_ms=*/0, &pool};
@@ -113,14 +115,24 @@ CodecResult RunCodecPhase(const CodecSpec& spec, int world,
                        st.ToString().c_str());
           std::exit(2);
         }
+      };
+      all_reduce();  // warm-up
+      // The timed window starts from a zero residual, as without warm-up.
+      std::fill(residual.begin(), residual.end(), 0.0f);
+      gate.arrive_and_wait();  // warmed up (main samples counters)
+      gate.arrive_and_wait();  // start line
+      for (int it = 0; it < iters; ++it) {
+        all_reduce();
         gate.arrive_and_wait();  // iteration fence (keeps tags in lockstep)
       }
       if (r == 0) std::copy(data.begin(), data.end(), rank0_result.begin());
       gate.arrive_and_wait();  // finish line
     });
   }
-  // Sample counters BEFORE the start gate releases the rank threads, so the
-  // window covers every send of every iteration.
+  // Sample counters after the warm-up and BEFORE the start gate releases
+  // the rank threads, so the window covers every send of every timed
+  // iteration and nothing else.
+  gate.arrive_and_wait();
   const std::uint64_t wire0 = tr.TotalPayloadBytes();
   const auto t0 = std::chrono::steady_clock::now();
   gate.arrive_and_wait();

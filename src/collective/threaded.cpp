@@ -18,14 +18,6 @@ namespace {
 
 using compress::CodecKind;
 
-/// Registry counter for legacy-path (unpooled) payload allocations. Cached
-/// so the hot path pays one static-init guard check, not a registry lookup.
-telemetry::Counter& LegacyAllocCounter() {
-  static telemetry::Counter& counter =
-      telemetry::MetricsRegistry::Global().GetCounter("hotpath.payload_allocs");
-  return counter;
-}
-
 /// Receive honouring the Comm deadline (<= 0 blocks forever).
 Result<transport::Payload> TimedRecv(transport::Transport& tr,
                                      std::int64_t timeout_ms, int rank,
@@ -45,18 +37,12 @@ Status CheckSize(const transport::Payload& received, std::size_t expected) {
   return Status::Ok();
 }
 
-/// Copy `src` into a send buffer. Pooled mode (`pool` set) first recycles
-/// `reuse` — typically the payload received on the previous ring step —
-/// falling back to the pool when its capacity is too small; legacy mode
-/// heap-allocates a fresh copy every call (the pre-pool behaviour, kept for
-/// bit-exact A/B comparison and as the bench baseline).
+/// Copy `src` into a send buffer, first recycling `reuse` — typically the
+/// payload received on the previous ring step — and falling back to the
+/// pool when its capacity is too small.
 transport::Payload FillSendBuffer(common::BufferPool* pool,
                                   transport::Payload reuse,
                                   std::span<const float> src) {
-  if (pool == nullptr) {
-    LegacyAllocCounter().Add();
-    return transport::Payload(src.begin(), src.end());
-  }
   if (reuse.capacity() >= src.size()) {
     reuse.resize(src.size());
   } else {
@@ -67,27 +53,21 @@ transport::Payload FillSendBuffer(common::BufferPool* pool,
   return reuse;
 }
 
-/// Hand a finished payload back to the pool (no-op on the legacy path).
+/// Hand a finished payload back to the pool (no-op for an empty one).
 void ReleasePayload(common::BufferPool* pool, transport::Payload&& payload) {
-  if (pool != nullptr && payload.capacity() > 0) {
+  if (payload.capacity() > 0) {
     pool->Release(std::move(payload));
   }
 }
 
 /// Cast-encode `src` into a send buffer of CastWireFloats(src.size()) wire
 /// words — the codec twin of FillSendBuffer, with the same reuse-then-pool
-/// buffer discipline (legacy mode heap-allocates and counts it).
+/// buffer discipline.
 transport::Payload FillSendEncoded(common::BufferPool* pool,
                                    transport::Payload reuse,
                                    std::span<const float> src,
                                    CodecKind wire) {
   const std::size_t wn = compress::CastWireFloats(src.size());
-  if (pool == nullptr) {
-    LegacyAllocCounter().Add();
-    transport::Payload out(wn);
-    compress::CastEncode(wire, src, out);
-    return out;
-  }
   if (reuse.capacity() >= wn) {
     reuse.resize(wn);
   } else {
@@ -99,9 +79,10 @@ transport::Payload FillSendEncoded(common::BufferPool* pool,
 }
 
 /// Gauge of slice messages currently in flight across every pipelined ring
-/// in the process (sender +1 on Send, receiver -1 on delivery). Cached like
-/// LegacyAllocCounter; only touched when the effective depth exceeds 1 so
-/// the depth-1 hot path pays no shared-cacheline traffic for it.
+/// in the process (sender +1 on Send, receiver -1 on delivery). Cached so
+/// the hot path pays one static-init guard check, not a registry lookup;
+/// only touched when the effective depth exceeds 1 so the depth-1 hot path
+/// pays no shared-cacheline traffic for it.
 telemetry::Gauge& InflightSlicesGauge() {
   static telemetry::Gauge& gauge =
       telemetry::MetricsRegistry::Global().GetGauge("hotpath.inflight_slices");
@@ -147,10 +128,10 @@ std::span<float> SliceOf(std::span<float> chunk, int d, int k) {
 /// preserved at any depth, and slicing never changes which step an element
 /// reduces in — results are bit-identical to d = 1.
 ///
-/// Buffer lifecycle in pooled mode: the payload received for slice k is
-/// refilled with the next step's slice k (its contents were already folded
-/// into `data`) and resent; the last step's payloads are parked in
-/// `carry[k]` for the all-gather prologue to reuse. Callers must ensure
+/// Buffer lifecycle: the payload received for slice k is refilled with the
+/// next step's slice k (its contents were already folded into `data`) and
+/// resent; the last step's payloads are parked in `carry[k]` for the
+/// all-gather prologue to reuse. Callers must ensure
 /// n > 1 and that d came from EffectivePipelineDepth (no empty slices).
 ///
 /// With a cast codec (`wire` != kNone) every hop ships packed 16-bit lanes:
@@ -215,7 +196,7 @@ Status PipelinedReduceScatterPhase(transport::Transport& tr, int me, int next,
                     ? FillSendEncoded(pool, std::move(*received), slice, wire)
                     : FillSendBuffer(pool, std::move(*received), slice));
         if (pipelined) InflightSlicesGauge().Add(1);
-      } else if (pool != nullptr) {
+      } else {
         carry[static_cast<std::size_t>(k)] = std::move(*received);
       }
     }
@@ -225,10 +206,10 @@ Status PipelinedReduceScatterPhase(transport::Transport& tr, int me, int next,
 
 /// All-gather phase of a ring, sliced `d` deep: step s sends chunk(start - s)
 /// and fills chunk(start - s - 1) from the wire, forwarding each slice the
-/// moment it lands instead of waiting for the whole chunk. In pooled mode
-/// the prologue refills `carry` from `data` (the reduce-scatter results live
-/// in `data`, not in the parked buffers) and every later step forwards the
-/// received payload unmodified — its contents are exactly the slice the next
+/// moment it lands instead of waiting for the whole chunk. The prologue
+/// refills `carry` from `data` (the reduce-scatter results live in `data`,
+/// not in the parked buffers) and every later step forwards the received
+/// payload unmodified — its contents are exactly the slice the next
 /// step sends. Same send-order/bit-exactness guarantees as the reduce-
 /// scatter phase; callers must ensure n > 1 and d from
 /// EffectivePipelineDepth.
@@ -287,17 +268,9 @@ Status PipelinedAllGatherPhase(transport::Transport& tr, int me, int next,
       }
       if (s + 1 < n - 1) {
         AIACC_TRACE_SPAN_V("comm.step", "send");
-        if (pool != nullptr) {
-          tr.Send(me, next, tag, std::move(*received));
-        } else {
-          // Legacy mode forwards a verbatim copy of the wire words — the
-          // payload already holds exactly what the next hop expects.
-          tr.Send(me, next, tag,
-                  FillSendBuffer(pool, {},
-                                 std::span<const float>(*received)));
-        }
+        tr.Send(me, next, tag, std::move(*received));
         if (pipelined) InflightSlicesGauge().Add(1);
-      } else if (pool != nullptr) {
+      } else {
         carry[static_cast<std::size_t>(k)] = std::move(*received);
       }
     }
@@ -310,7 +283,7 @@ Status PipelinedAllGatherPhase(transport::Transport& tr, int me, int next,
 /// hierarchical composition divides exactly once). `pipeline_depth` slices
 /// each per-step chunk (see Comm::pipeline_depth); the reduce-scatter
 /// phase's parked buffers seed the all-gather prologue, so at any depth the
-/// steady state performs zero payload allocations in pooled mode.
+/// steady state performs zero payload allocations.
 Status RingAllReduceOnRing(transport::Transport& tr,
                            const std::vector<int>& ring, int my_pos,
                            std::span<float> data, ReduceOp op, int tag,
@@ -336,21 +309,12 @@ Status RingAllReduceOnRing(transport::Transport& tr,
 
   const int d = EffectivePipelineDepth(len, n, pipeline_depth);
   // Decode scratch for the cast codec: one chunk is the largest unit any
-  // slice decode needs, acquired once per collective (pooled mode stays
-  // allocation-free in steady state).
-  common::BufferPool::Buffer scratch_buf;
-  std::vector<float> legacy_scratch;
-  std::span<float> scratch{};
+  // slice decode needs, acquired once per collective (the steady state
+  // stays allocation-free).
+  common::BufferPool::Buffer scratch;
   if (wire != CodecKind::kNone) {
-    const std::size_t max_chunk = (len + static_cast<std::size_t>(n) - 1) /
-                                  static_cast<std::size_t>(n);
-    if (pool != nullptr) {
-      scratch_buf = pool->Acquire(max_chunk);
-      scratch = scratch_buf;
-    } else {
-      legacy_scratch.resize(max_chunk);
-      scratch = legacy_scratch;
-    }
+    scratch = pool->Acquire((len + static_cast<std::size_t>(n) - 1) /
+                            static_cast<std::size_t>(n));
   }
   SliceWindow carry;
   Status status = PipelinedReduceScatterPhase(tr, me, next, prev, n, chunk,
@@ -365,9 +329,7 @@ Status RingAllReduceOnRing(transport::Transport& tr,
                                      yield, yield_ctx);
   }
   ReleaseWindow(pool, carry);
-  if (pool != nullptr && scratch_buf.capacity() > 0) {
-    pool->Release(std::move(scratch_buf));
-  }
+  ReleasePayload(pool, std::move(scratch));
   return status;
 }
 
@@ -397,13 +359,10 @@ Status BroadcastOnRing(transport::Transport& tr, const std::vector<int>& ring,
     }
     if (next_is_root) {
       ReleasePayload(pool, std::move(*received));  // end of the pipeline
-    } else if (pool != nullptr) {
+    } else {
       // Forward the received payload unmodified (its contents are exactly
       // what the next hop expects, encoded or raw).
       tr.Send(me, next, tag, std::move(*received));
-    } else {
-      tr.Send(me, next, tag,
-              FillSendBuffer(pool, {}, std::span<const float>(*received)));
     }
     return Status::Ok();
   }
@@ -450,6 +409,7 @@ std::size_t ChunkBegin(std::size_t len, int n_chunks, int chunk) {
 
 Status RingAllReduce(const Comm& comm, std::span<float> data, ReduceOp op) {
   AIACC_CHECK(comm.transport != nullptr);
+  AIACC_CHECK(comm.pool != nullptr);
   // The bit-packed sync rounds are exact agreements — a lossy codec on that
   // traffic would corrupt the protocol, so the combination is forbidden.
   AIACC_CHECK(comm.codec.kind == CodecKind::kNone || op != ReduceOp::kBitAnd);
@@ -473,6 +433,7 @@ Status RingAllReduce(const Comm& comm, std::span<float> data, ReduceOp op) {
 Status CompressedAllReduce(const Comm& comm, std::span<float> data,
                            ReduceOp op, std::span<float> residual) {
   AIACC_CHECK(comm.transport != nullptr);
+  AIACC_CHECK(comm.pool != nullptr);
   AIACC_CHECK(compress::IsSparse(comm.codec.kind));
   AIACC_CHECK(op == ReduceOp::kSum || op == ReduceOp::kAvg);
   AIACC_CHECK(residual.empty() || residual.size() == data.size());
@@ -480,15 +441,7 @@ Status CompressedAllReduce(const Comm& comm, std::span<float> data,
   const int n = comm.world_size;
   const std::size_t len = data.size();
   common::BufferPool* pool = comm.pool;
-  common::BufferPool& scratch_pool =
-      pool != nullptr ? *pool : common::BufferPool::Global();
   const bool has_ef = !residual.empty();
-
-  auto acquire = [&](std::size_t sz) -> transport::Payload {
-    if (pool != nullptr) return pool->Acquire(sz);
-    LegacyAllocCounter().Add();
-    return transport::Payload(sz);
-  };
 
   // 1. Error-feedback compensation: fold the residual the codec dropped on
   //    previous steps into this step's gradient before encoding.
@@ -497,8 +450,9 @@ Status CompressedAllReduce(const Comm& comm, std::span<float> data,
   }
 
   // 2. Encode the compensated gradient once (per collective, not per hop).
-  transport::Payload own = acquire(compress::MaxWireFloats(comm.codec, len));
-  own.resize(compress::SparseEncode(comm.codec, data, own, scratch_pool));
+  transport::Payload own =
+      pool->Acquire(compress::MaxWireFloats(comm.codec, len));
+  own.resize(compress::SparseEncode(comm.codec, data, own, *pool));
   compress::RecordWireFootprint(len, own.size());
 
   // 3. residual = compensated - decode(own record), computed locally so EF
@@ -506,7 +460,7 @@ Status CompressedAllReduce(const Comm& comm, std::span<float> data,
   //    abort mid-collective leaves residuals consistent with what was sent
   //    (callers that retry re-gather residuals from their persistent copy).
   if (has_ef) {
-    transport::Payload decoded = acquire(len);
+    transport::Payload decoded = pool->Acquire(len);
     std::fill(decoded.begin(), decoded.end(), 0.0f);
     const Status self = compress::SparseDecodeAccumulate(comm.codec, own,
                                                          decoded);
@@ -566,6 +520,7 @@ Status CompressedAllReduce(const Comm& comm, std::span<float> data,
 Status HierarchicalAllReduce(const Comm& comm, int gpus_per_host,
                              std::span<float> data, ReduceOp op) {
   AIACC_CHECK(comm.transport != nullptr);
+  AIACC_CHECK(comm.pool != nullptr);
   AIACC_CHECK(comm.codec.kind == CodecKind::kNone || op != ReduceOp::kBitAnd);
   if (compress::IsSparse(comm.codec.kind)) {
     // Sparse records do not compose with the intra/inter-host ring split
@@ -623,6 +578,7 @@ Status HierarchicalAllReduce(const Comm& comm, int gpus_per_host,
 
 Status ReduceScatter(const Comm& comm, std::span<float> data, ReduceOp op) {
   AIACC_CHECK(comm.transport != nullptr);
+  AIACC_CHECK(comm.pool != nullptr);
   const int n = comm.world_size;
   if (n <= 1) {
     FinalizeAvg(data, 1, op);
@@ -664,6 +620,7 @@ Status ReduceScatter(const Comm& comm, std::span<float> data, ReduceOp op) {
 
 Status AllGather(const Comm& comm, std::span<float> data) {
   AIACC_CHECK(comm.transport != nullptr);
+  AIACC_CHECK(comm.pool != nullptr);
   const int n = comm.world_size;
   if (n <= 1) return Status::Ok();
   const int me = comm.rank;
@@ -687,6 +644,7 @@ Status AllGather(const Comm& comm, std::span<float> data) {
 
 Status Broadcast(const Comm& comm, int root, std::span<float> data) {
   AIACC_CHECK(comm.transport != nullptr);
+  AIACC_CHECK(comm.pool != nullptr);
   std::vector<int> ring(static_cast<std::size_t>(comm.world_size));
   for (int r = 0; r < comm.world_size; ++r) ring[static_cast<std::size_t>(r)] = r;
   return BroadcastOnRing(*comm.transport, ring, comm.rank, root, data,
@@ -695,6 +653,7 @@ Status Broadcast(const Comm& comm, int root, std::span<float> data) {
 
 Status Reduce(const Comm& comm, int root, std::span<float> data, ReduceOp op) {
   AIACC_CHECK(comm.transport != nullptr);
+  AIACC_CHECK(comm.pool != nullptr);
   const int n = comm.world_size;
   if (n <= 1) {
     FinalizeAvg(data, 1, op);
@@ -733,6 +692,7 @@ Status Reduce(const Comm& comm, int root, std::span<float> data, ReduceOp op) {
 Status Gather(const Comm& comm, int root, std::span<const float> contribution,
               std::span<float> gathered) {
   AIACC_CHECK(comm.transport != nullptr);
+  AIACC_CHECK(comm.pool != nullptr);
   const int n = comm.world_size;
   common::BufferPool* pool = comm.pool;
   if (comm.rank != root) {
@@ -820,6 +780,7 @@ Status Gather(const Comm& comm, int root, std::span<const float> contribution,
 Status Scatter(const Comm& comm, int root, std::span<const float> scattered,
                std::span<float> chunk) {
   AIACC_CHECK(comm.transport != nullptr);
+  AIACC_CHECK(comm.pool != nullptr);
   const int n = comm.world_size;
   if (comm.rank == root) {
     AIACC_CHECK(scattered.size() == chunk.size() * static_cast<std::size_t>(n));
@@ -847,6 +808,7 @@ Status Scatter(const Comm& comm, int root, std::span<const float> scattered,
 Status AllToAll(const Comm& comm, std::span<const float> send,
                 std::span<float> recv) {
   AIACC_CHECK(comm.transport != nullptr);
+  AIACC_CHECK(comm.pool != nullptr);
   const int n = comm.world_size;
   AIACC_CHECK(send.size() == recv.size());
   AIACC_CHECK(send.size() % static_cast<std::size_t>(n) == 0);
@@ -884,6 +846,7 @@ int MultiChannelWorkerCount() {
 
 Status MultiChannelAllReduce(const Comm& comm, std::span<float> data,
                              ReduceOp op, int num_channels) {
+  AIACC_CHECK(comm.pool != nullptr);
   AIACC_CHECK(num_channels >= 1);
   // Fall back to a single ring when the payload cannot feed every channel
   // at least one element per ring chunk *per pipeline slice* — combined
@@ -962,6 +925,7 @@ Status MultiChannelAllReduce(const Comm& comm, std::span<float> data,
   if (health == nullptr) {
     return MultiChannelAllReduce(comm, data, op, num_channels);
   }
+  AIACC_CHECK(comm.pool != nullptr);
   AIACC_CHECK(num_channels >= 1);
   AIACC_CHECK(health->options().world_size == comm.world_size);
   // Same small-payload fallback condition as the plain overload — it only
@@ -985,12 +949,10 @@ Status MultiChannelAllReduce(const Comm& comm, std::span<float> data,
   // reduced, and the in-call retry ring must start from the original local
   // contribution on *every* rank (a channel can fail on one rank after
   // completing on another).
-  std::vector<float> snapshot = comm.pool != nullptr
-                                    ? comm.pool->Acquire(data.size())
-                                    : std::vector<float>(data.size());
+  std::vector<float> snapshot = comm.pool->Acquire(data.size());
   std::copy(data.begin(), data.end(), snapshot.begin());
   const auto release_snapshot = [&] {
-    if (comm.pool != nullptr) comm.pool->Release(std::move(snapshot));
+    comm.pool->Release(std::move(snapshot));
   };
 
   ChannelWorkers& workers = GlobalChannelWorkers();

@@ -41,9 +41,8 @@ struct Comm {
   /// (the pre-fault-tolerance behaviour).
   std::int64_t timeout_ms = 0;
   /// Payload-buffer recycler for the hot path (see common/buffer_pool.h).
-  /// nullptr selects the legacy allocate-and-copy path — kept selectable so
-  /// tests can prove the pooled path bit-identical and benches can measure
-  /// the allocation cost it removes.
+  /// Must not be null: every collective checks it. Tests and benches point
+  /// it at a private pool to count exactly their own misses.
   common::BufferPool* pool = &common::BufferPool::Global();
   /// Ring pipeline depth: each per-step ring chunk is split into this many
   /// slices kept concurrently in flight on the same tag channel, so the

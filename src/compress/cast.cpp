@@ -1,5 +1,5 @@
 // Bulk fp16/bf16 casts: the vector kernels behind CastEncode/CastDecode and
-// core::CompressToHalf & co., selected once per process, with the scalar
+// CastEncodeLanes/CastDecodeLanes, selected once per process, with the scalar
 // element functions (compress/scalar.h) as the reference, the tail handler
 // and the fallback for CPUs without AVX2+F16C.
 #include <bit>

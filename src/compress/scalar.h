@@ -4,8 +4,9 @@
 // correctly, overflow saturates to infinity, and NaNs keep their sign and
 // gain a quiet bit so a payload that truncates to zero can never turn into
 // an infinity. The fp16 implementation is the canonical one for the whole
-// repo — core/compression.h forwards to it so the legacy Perseus fp16 wire
-// path and the codec layer quantize identically.
+// repo: the bulk kernels behind compress::CastEncode/CastDecode are checked
+// bit for bit against it, and every fp16 wire (including Perseus's
+// AllReduceFp16) goes through those kernels.
 #pragma once
 
 #include <cstdint>

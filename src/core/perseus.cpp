@@ -3,7 +3,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "core/compression.h"
 
 namespace aiacc::perseus {
 
@@ -15,10 +14,22 @@ Session::Session(std::shared_ptr<Context> context, int rank)
 
 void Session::AllReduce(std::span<float> data, int num_channels,
                         collective::ReduceOp op) {
+  AllReduceOnWire(data, num_channels, op, compress::CodecSpec{});
+}
+
+void Session::AllReduceFp16(std::span<float> data, int num_channels) {
+  AllReduceOnWire(data, num_channels, collective::ReduceOp::kAvg,
+                  compress::CodecSpec{compress::CodecKind::kFp16});
+}
+
+void Session::AllReduceOnWire(std::span<float> data, int num_channels,
+                              collective::ReduceOp op,
+                              compress::CodecSpec codec) {
   collective::Comm comm;
   comm.transport = &context_->transport();
   comm.rank = rank_;
   comm.world_size = size();
+  comm.codec = codec;
   // All ranks advance tags in lockstep (collective calls are ordered, as in
   // MPI communicators), so namespaces never collide across operations. The
   // cursor advances by one channel stride per channel plus one for the
@@ -28,11 +39,6 @@ void Session::AllReduce(std::span<float> data, int num_channels,
   const Status st =
       collective::MultiChannelAllReduce(comm, data, op, num_channels);
   AIACC_CHECK(st.ok() && "session all-reduce failed");
-}
-
-void Session::AllReduceFp16(std::span<float> data, int num_channels) {
-  core::QuantizeToHalfInPlace(data);
-  AllReduce(data, num_channels, collective::ReduceOp::kAvg);
 }
 
 void Session::BroadcastParameters(const std::vector<std::span<float>>& params,

@@ -50,10 +50,10 @@ class Session {
   void AllReduce(std::span<float> data, int num_channels = 4,
                  collective::ReduceOp op = collective::ReduceOp::kAvg);
 
-  /// All-reduce with fp16 wire compression (paper §IV/§X): the local
-  /// contribution is quantized to IEEE binary16 before transmission and the
-  /// reduction accumulates in fp32. Halves wire traffic at ~2^-11 relative
-  /// quantization error per element.
+  /// Averaged all-reduce with fp16 wire compression (paper §IV/§X): every
+  /// ring hop ships packed IEEE binary16 lanes (Comm::codec = fp16) and each
+  /// receiver decodes and accumulates in fp32. Halves wire bytes at ~2^-11
+  /// relative quantization error per element per hop.
   void AllReduceFp16(std::span<float> data, int num_channels = 4);
 
   /// Broadcast tensors from `root` (Horovod's broadcast_parameters; also the
@@ -72,6 +72,9 @@ class Session {
       bool allow_nan = false);
 
  private:
+  void AllReduceOnWire(std::span<float> data, int num_channels,
+                       collective::ReduceOp op, compress::CodecSpec codec);
+
   std::shared_ptr<Context> context_;
   int rank_;
   int next_tag_ = 0;

@@ -735,13 +735,89 @@ TEST(ShutdownUnblocksTest, MultiChannelAllReduce) {
   });
 }
 
-// --------------------------------------- pooled hot path: bit-exactness --
+// ------------------------------------ bit-exactness against a reference --
 //
-// The zero-allocation rewrite (buffer pooling, payload forwarding, fused
-// RecvReduce) must not change a single bit of any result: the pooled path
-// performs the same elementwise operations in the same order as the legacy
-// copy path, so results are compared with exact float equality, not a
-// tolerance.
+// Buffer pooling, payload forwarding, fused RecvReduce and pipeline slicing
+// must not change a single bit of any result: every collective performs
+// the same elementwise operations in the same order as the sequential folds
+// below, so results are compared with exact float equality, not a
+// tolerance. The reference shares no code with src/collective — it
+// re-derives the chunk boundaries, the fold order and the averaging from
+// the algorithms' definitions.
+
+using RankData = std::vector<std::vector<float>>;
+
+/// One fold step, `acc op x`, in the operand order the ring uses.
+float RefApply(ReduceOp op, float acc, float x) {
+  switch (op) {
+    case ReduceOp::kMin:
+      return acc < x ? acc : x;
+    case ReduceOp::kMax:
+      return acc > x ? acc : x;
+    default:  // kSum; kAvg sums and divides once at the end
+      return x + acc;
+  }
+}
+
+/// Element i folded along the ring from rank `start`: v = x_start, then
+/// v = x_{start+k} op v for k = 1..n-1 (ranks mod n).
+float RefFoldFrom(const RankData& x, std::size_t start, std::size_t i,
+                  ReduceOp op) {
+  const std::size_t n = x.size();
+  float v = x[start % n][i];
+  for (std::size_t k = 1; k < n; ++k) {
+    v = RefApply(op, v, x[(start + k) % n][i]);
+  }
+  return v;
+}
+
+/// Ring reduction of `x` (inputs in ring order): chunk c — elements
+/// [len*c/n, len*(c+1)/n) — is folded starting at ring position c.
+std::vector<float> RefRingFold(const RankData& x, ReduceOp op) {
+  const std::size_t n = x.size();
+  const std::size_t len = x[0].size();
+  std::vector<float> out(len);
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t i = len * c / n; i < len * (c + 1) / n; ++i) {
+      out[i] = RefFoldFrom(x, c, i, op);
+    }
+  }
+  return out;
+}
+
+void RefFinalizeAvg(std::vector<float>& v, std::size_t world, ReduceOp op) {
+  if (op != ReduceOp::kAvg) return;
+  const float inv = 1.0f / static_cast<float>(world);
+  for (float& e : v) e *= inv;
+}
+
+/// What RingAllReduce leaves on every rank.
+RankData RefRingAllReduce(const RankData& x, ReduceOp op) {
+  std::vector<float> out = RefRingFold(x, op);
+  RefFinalizeAvg(out, x.size(), op);
+  return RankData(x.size(), out);
+}
+
+/// What MultiChannelAllReduce leaves on every rank: one independent ring per
+/// channel slice [len*c/ch, len*(c+1)/ch), or a single ring when the payload
+/// cannot give every channel at least one element per ring chunk.
+RankData RefMultiChannelAllReduce(const RankData& x, ReduceOp op,
+                                  std::size_t channels) {
+  const std::size_t world = x.size();
+  const std::size_t len = x[0].size();
+  if (channels == 1 || len < channels * world) return RefRingAllReduce(x, op);
+  std::vector<float> out(len);
+  for (std::size_t c = 0; c < channels; ++c) {
+    const auto b = static_cast<std::ptrdiff_t>(len * c / channels);
+    const auto e = static_cast<std::ptrdiff_t>(len * (c + 1) / channels);
+    RankData slices;
+    for (const auto& v : x) slices.emplace_back(v.begin() + b, v.begin() + e);
+    const std::vector<float> folded = RefRingFold(slices, op);
+    std::copy(folded.begin(), folded.end(), out.begin() + b);
+  }
+  RefFinalizeAvg(out, world, op);
+  return RankData(world, out);
+}
 
 std::vector<std::vector<float>> RunPipeline(transport::Transport& tr,
                                             int world, std::size_t len,
@@ -757,16 +833,15 @@ std::vector<std::vector<float>> RunPipeline(transport::Transport& tr,
   return data;
 }
 
-void ExpectBitIdentical(const std::vector<std::vector<float>>& legacy,
-                        const std::vector<std::vector<float>>& pooled) {
-  ASSERT_EQ(legacy.size(), pooled.size());
-  for (std::size_t r = 0; r < legacy.size(); ++r) {
-    ASSERT_EQ(legacy[r].size(), pooled[r].size());
-    if (legacy[r].empty()) continue;  // data() may be null: UB for memcmp
-    ASSERT_EQ(std::memcmp(legacy[r].data(), pooled[r].data(),
-                          legacy[r].size() * sizeof(float)),
+void ExpectBitIdentical(const RankData& expected, const RankData& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t r = 0; r < expected.size(); ++r) {
+    ASSERT_EQ(expected[r].size(), actual[r].size());
+    if (expected[r].empty()) continue;  // data() may be null: UB for memcmp
+    ASSERT_EQ(std::memcmp(expected[r].data(), actual[r].data(),
+                          expected[r].size() * sizeof(float)),
               0)
-        << "rank " << r << " diverged from the legacy copy path";
+        << "rank " << r << " diverged from the sequential reference";
   }
 }
 
@@ -774,17 +849,15 @@ class PooledBitExactP
     : public ::testing::TestWithParam<std::tuple<int, std::size_t, ReduceOp>> {
 };
 
-TEST_P(PooledBitExactP, PooledRingAllReduceMatchesLegacyBitwise) {
+TEST_P(PooledBitExactP, PooledRingAllReduceMatchesReferenceBitwise) {
   const auto [world, len, op] = GetParam();
   const std::uint64_t seed = 9000 + static_cast<std::uint64_t>(world) * 131 +
                              len * 7 + static_cast<std::uint64_t>(op);
-  transport::InProcTransport legacy_tr(world);
-  const auto legacy =
-      RunPipeline(legacy_tr, world, len, op, /*pool=*/nullptr, seed);
-  transport::InProcTransport pooled_tr(world);
+  transport::InProcTransport tr(world);
   common::BufferPool pool;
-  const auto pooled = RunPipeline(pooled_tr, world, len, op, &pool, seed);
-  ExpectBitIdentical(legacy, pooled);
+  const auto pooled = RunPipeline(tr, world, len, op, &pool, seed);
+  ExpectBitIdentical(RefRingAllReduce(MakeRankData(world, len, seed), op),
+                     pooled);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -796,79 +869,108 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(ReduceOp::kSum, ReduceOp::kAvg,
                                          ReduceOp::kMin, ReduceOp::kMax)));
 
-TEST(PooledBitExactTest, OtherCollectivesMatchLegacyBitwise) {
+TEST(PooledBitExactTest, OtherCollectivesMatchReferenceBitwise) {
   const int world = 5;
   const std::size_t len = 35;    // odd per-rank chunk
   const std::size_t full = len * world;
+  const auto n = static_cast<std::size_t>(world);
   const auto data = MakeRankData(world, full, 4242);
 
   // Broadcast, reduce-scatter (own chunk only — scratch regions are
   // unspecified), all-gather, reduce, gather, scatter and all-to-all, each
-  // run once per path on identical inputs.
+  // run once on identical inputs.
   struct PathResult {
-    std::vector<std::vector<float>> bcast, rs_chunk, ag, red, gat, sct, a2a;
+    RankData bcast, rs_chunk, ag, red, gat, sct, a2a;
   };
-  auto run_path = [&](common::BufferPool* pool) {
-    PathResult out;
-    out.bcast = data;
-    out.rs_chunk.assign(world, {});
-    out.ag = data;  // chunk r of rank r's buffer seeds the all-gather
-    out.red = data;
-    out.gat.assign(world, std::vector<float>());
-    out.gat[0].resize(full);
-    out.sct.assign(world, std::vector<float>(len));
-    out.a2a.assign(world, std::vector<float>(full));
-    transport::InProcTransport tr(world);
-    RunAllRanks(world, [&](int rank) {
-      const auto r = static_cast<std::size_t>(rank);
-      Comm comm{&tr, rank, world, /*tag_base=*/0, /*timeout_ms=*/0, pool};
-      EXPECT_TRUE(Broadcast(comm, /*root=*/2, out.bcast[r]).ok());
-      std::vector<float> rs = data[r];
-      EXPECT_TRUE(ReduceScatter(comm, rs, ReduceOp::kSum).ok());
-      const std::size_t lo = ChunkBegin(full, world, rank);
-      const std::size_t hi = ChunkBegin(full, world, rank + 1);
-      out.rs_chunk[r].assign(rs.begin() + static_cast<std::ptrdiff_t>(lo),
-                             rs.begin() + static_cast<std::ptrdiff_t>(hi));
-      EXPECT_TRUE(AllGather(comm, out.ag[r]).ok());
-      EXPECT_TRUE(Reduce(comm, /*root=*/1, out.red[r], ReduceOp::kAvg).ok());
-      EXPECT_TRUE(Gather(comm, /*root=*/0,
-                         std::span<const float>(data[r]).subspan(0, len),
-                         out.gat[r])
-                      .ok());
-      const std::span<const float> to_scatter =
-          rank == 3 ? std::span<const float>(data[3])
-                    : std::span<const float>();
-      EXPECT_TRUE(Scatter(comm, /*root=*/3, to_scatter, out.sct[r]).ok());
-      EXPECT_TRUE(AllToAll(comm, data[r], out.a2a[r]).ok());
-    });
-    return out;
+  auto chunk_of = [&](const std::vector<float>& v, std::size_t c) {
+    return std::vector<float>(
+        v.begin() + static_cast<std::ptrdiff_t>(full * c / n),
+        v.begin() + static_cast<std::ptrdiff_t>(full * (c + 1) / n));
+  };
+  auto block_of = [&](const std::vector<float>& v, std::size_t b) {
+    return std::vector<float>(
+        v.begin() + static_cast<std::ptrdiff_t>(b * len),
+        v.begin() + static_cast<std::ptrdiff_t>((b + 1) * len));
   };
 
+  PathResult out;
+  out.bcast = data;
+  out.rs_chunk.assign(n, {});
+  out.ag = data;  // chunk r of rank r's buffer seeds the all-gather
+  out.red = data;
+  out.gat.assign(n, std::vector<float>());
+  out.gat[0].resize(full);
+  out.sct.assign(n, std::vector<float>(len));
+  out.a2a.assign(n, std::vector<float>(full));
+  transport::InProcTransport tr(world);
   common::BufferPool pool;
-  const PathResult legacy = run_path(nullptr);
-  const PathResult pooled = run_path(&pool);
-  ExpectBitIdentical(legacy.bcast, pooled.bcast);
-  ExpectBitIdentical(legacy.rs_chunk, pooled.rs_chunk);
-  ExpectBitIdentical(legacy.ag, pooled.ag);
-  ExpectBitIdentical(legacy.red, pooled.red);
-  ExpectBitIdentical(legacy.gat, pooled.gat);
-  ExpectBitIdentical(legacy.sct, pooled.sct);
-  ExpectBitIdentical(legacy.a2a, pooled.a2a);
+  RunAllRanks(world, [&](int rank) {
+    const auto r = static_cast<std::size_t>(rank);
+    Comm comm{&tr, rank, world, /*tag_base=*/0, /*timeout_ms=*/0, &pool};
+    EXPECT_TRUE(Broadcast(comm, /*root=*/2, out.bcast[r]).ok());
+    std::vector<float> rs = data[r];
+    EXPECT_TRUE(ReduceScatter(comm, rs, ReduceOp::kSum).ok());
+    out.rs_chunk[r] = chunk_of(rs, r);
+    EXPECT_TRUE(AllGather(comm, out.ag[r]).ok());
+    EXPECT_TRUE(Reduce(comm, /*root=*/1, out.red[r], ReduceOp::kAvg).ok());
+    EXPECT_TRUE(Gather(comm, /*root=*/0,
+                       std::span<const float>(data[r]).subspan(0, len),
+                       out.gat[r])
+                    .ok());
+    const std::span<const float> to_scatter =
+        rank == 3 ? std::span<const float>(data[3])
+                  : std::span<const float>();
+    EXPECT_TRUE(Scatter(comm, /*root=*/3, to_scatter, out.sct[r]).ok());
+    EXPECT_TRUE(AllToAll(comm, data[r], out.a2a[r]).ok());
+  });
+
+  PathResult want;
+  want.bcast.assign(n, data[2]);
+  const std::vector<float> sum = RefRingFold(data, ReduceOp::kSum);
+  std::vector<float> gathered_chunks(full);
+  for (std::size_t r = 0; r < n; ++r) {
+    want.rs_chunk.push_back(chunk_of(sum, r));
+    const std::vector<float> own = chunk_of(data[r], r);
+    std::copy(own.begin(), own.end(),
+              gathered_chunks.begin() +
+                  static_cast<std::ptrdiff_t>(full * r / n));
+  }
+  want.ag.assign(n, gathered_chunks);
+  // Reduce chains from rank root+1 around the ring and ends at the root.
+  want.red = data;
+  for (std::size_t i = 0; i < full; ++i) {
+    want.red[1][i] = RefFoldFrom(data, 2, i, ReduceOp::kAvg);
+  }
+  RefFinalizeAvg(want.red[1], n, ReduceOp::kAvg);
+  want.gat.assign(n, std::vector<float>());
+  for (std::size_t r = 0; r < n; ++r) {
+    want.gat[0].insert(want.gat[0].end(), data[r].begin(),
+                       data[r].begin() + static_cast<std::ptrdiff_t>(len));
+    want.sct.push_back(block_of(data[3], r));
+    want.a2a.emplace_back();
+    for (std::size_t s = 0; s < n; ++s) {
+      const std::vector<float> block = block_of(data[s], r);
+      want.a2a[r].insert(want.a2a[r].end(), block.begin(), block.end());
+    }
+  }
+  ExpectBitIdentical(want.bcast, out.bcast);
+  ExpectBitIdentical(want.rs_chunk, out.rs_chunk);
+  ExpectBitIdentical(want.ag, out.ag);
+  ExpectBitIdentical(want.red, out.red);
+  ExpectBitIdentical(want.gat, out.gat);
+  ExpectBitIdentical(want.sct, out.sct);
+  ExpectBitIdentical(want.a2a, out.a2a);
 }
 
 TEST(PooledChaosTest, BitIdenticalUnderLosslessFaultSchedule) {
   // Duplication, reordering and delay — but no drops — over the pooled
   // path: the strict Recv framing de-duplicates and re-orders, so the
-  // result must still be bitwise identical to a clean legacy run.
+  // result must still be bitwise identical to the sequential reference.
   const int world = 4;
   const std::size_t len = 257;
   for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kAvg, ReduceOp::kMin,
                             ReduceOp::kMax}) {
     const std::uint64_t seed = 31337 + static_cast<std::uint64_t>(op);
-    transport::InProcTransport clean_tr(world);
-    const auto clean =
-        RunPipeline(clean_tr, world, len, op, /*pool=*/nullptr, seed);
-
     transport::InProcTransport inner(world);
     transport::FaultSpec spec;
     spec.seed = 99 + static_cast<std::uint64_t>(op);
@@ -880,7 +982,8 @@ TEST(PooledChaosTest, BitIdenticalUnderLosslessFaultSchedule) {
     common::BufferPool pool;
     const auto chaos = RunPipeline(chaotic, world, len, op, &pool, seed);
 
-    ExpectBitIdentical(clean, chaos);
+    ExpectBitIdentical(RefRingAllReduce(MakeRankData(world, len, seed), op),
+                       chaos);
     const transport::FaultStats stats = chaotic.stats();
     EXPECT_GT(stats.duplicated + stats.reordered + stats.delayed, 0u)
         << "fault schedule did not fire; chaos coverage is vacuous";
@@ -888,15 +991,26 @@ TEST(PooledChaosTest, BitIdenticalUnderLosslessFaultSchedule) {
   }
 }
 
+#if GTEST_HAS_DEATH_TEST
+TEST(CommDeathTest, NullPoolAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  transport::InProcTransport tr(1);
+  std::vector<float> data(8, 1.0f);
+  Comm comm{&tr, /*rank=*/0, /*world_size=*/1};
+  comm.pool = nullptr;
+  EXPECT_DEATH((void)RingAllReduce(comm, data, ReduceOp::kSum),
+               "comm.pool != nullptr");
+}
+#endif  // GTEST_HAS_DEATH_TEST
+
 // -------------------------------------------------- pipelined ring slices --
 // Depth-d slicing changes only the message framing: every rank still reduces
-// the same elements in the same order, so any depth must be bitwise
-// identical to the depth-1 baseline (exact equality, no tolerance). Lengths
+// the same elements in the same order, so every depth must match the
+// sequential reference bitwise (exact equality, no tolerance). Lengths
 // are chosen so MultiChannelAllReduce's depth-aware small-payload fallback
 // decides the same way at every depth — 7 falls back everywhere, 257/1023
 // never do (the largest threshold here is 4 channels x 8 ranks x depth 8 =
-// 256 floats) — otherwise the two runs would legitimately decompose (and
-// round) differently.
+// 256 floats) — so the reference needs only the depth-1 rule.
 
 std::vector<std::vector<float>> RunPipelined(int world, std::size_t len,
                                              ReduceOp op, int depth,
@@ -919,24 +1033,23 @@ class PipelinedBitExactP
     : public ::testing::TestWithParam<
           std::tuple<int, int, int, std::size_t, ReduceOp>> {};
 
-TEST_P(PipelinedBitExactP, AnyDepthMatchesDepthOneBitwise) {
+TEST_P(PipelinedBitExactP, AnyDepthMatchesReferenceBitwise) {
   const auto [depth, channels, world, len, op] = GetParam();
   const std::uint64_t seed = 77000 + static_cast<std::uint64_t>(depth) * 1009 +
                              static_cast<std::uint64_t>(channels) * 131 +
                              static_cast<std::uint64_t>(world) * 17 + len * 7 +
                              static_cast<std::uint64_t>(op);
-  // Baseline: depth 1 on the legacy (pool-less) path; pipelined: depth d on
-  // the pooled path — one comparison covers both axes at once.
-  const auto base =
-      RunPipelined(world, len, op, /*depth=*/1, channels, nullptr, seed);
   common::BufferPool pool;
   const auto piped = RunPipelined(world, len, op, depth, channels, &pool, seed);
-  ExpectBitIdentical(base, piped);
+  ExpectBitIdentical(
+      RefMultiChannelAllReduce(MakeRankData(world, len, seed), op,
+                               static_cast<std::size_t>(channels)),
+      piped);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PipelinedBitExactP,
-    ::testing::Combine(::testing::Values(2, 4, 8),        // pipeline depth
+    ::testing::Combine(::testing::Values(1, 2, 4, 8),     // pipeline depth
                        ::testing::Values(1, 4),           // channels
                        ::testing::Values(1, 2, 3, 5, 8),  // world
                        ::testing::Values(std::size_t{7}, std::size_t{257},
@@ -944,18 +1057,21 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(ReduceOp::kSum, ReduceOp::kAvg,
                                          ReduceOp::kMin, ReduceOp::kMax)));
 
-TEST(PipelinedBitExactTest, HierarchicalMatchesDepthOneBitwise) {
-  // Slicing threads through both nested rings (intra-host + leaders).
+TEST(PipelinedBitExactTest, HierarchicalMatchesReferenceBitwise) {
+  // Slicing threads through both nested rings (intra-host + leaders); the
+  // reference folds each host group on its own ring, folds the group totals
+  // on the leaders' ring, and broadcasts the result.
   const int hosts = 2;
   const int gpus = 2;
   const int world = hosts * gpus;
   const std::size_t len = 128;
-  auto run = [&](int depth, common::BufferPool* pool) {
+  auto run = [&](int depth) {
     transport::InProcTransport tr(world);
+    common::BufferPool pool;
     auto data = MakeRankData(world, len, 5150);
     RunAllRanks(world, [&](int rank) {
-      Comm comm{&tr,  rank, world, /*tag_base=*/0, /*timeout_ms=*/0,
-                pool, depth};
+      Comm comm{&tr,   rank, world, /*tag_base=*/0, /*timeout_ms=*/0,
+                &pool, depth};
       EXPECT_TRUE(HierarchicalAllReduce(comm, gpus,
                                         data[static_cast<std::size_t>(rank)],
                                         ReduceOp::kSum)
@@ -963,23 +1079,28 @@ TEST(PipelinedBitExactTest, HierarchicalMatchesDepthOneBitwise) {
     });
     return data;
   };
-  common::BufferPool pool;
-  ExpectBitIdentical(run(1, nullptr), run(4, &pool));
+  const RankData data = MakeRankData(world, len, 5150);
+  RankData group_totals;
+  for (int h = 0; h < hosts; ++h) {
+    group_totals.push_back(RefRingFold(
+        RankData(data.begin() + h * gpus, data.begin() + (h + 1) * gpus),
+        ReduceOp::kSum));
+  }
+  const RankData want(static_cast<std::size_t>(world),
+                      RefRingFold(group_totals, ReduceOp::kSum));
+  ExpectBitIdentical(want, run(1));
+  ExpectBitIdentical(want, run(4));
 }
 
 TEST(PipelinedChaosTest, BitIdenticalUnderLosslessFaultSchedule) {
   // Duplication, reordering and delay across a depth-4 pipelined run: the
   // strict per-(src,tag) FIFO framing must keep the in-flight slice window
-  // coherent, matching a clean depth-1 legacy run bit for bit.
+  // coherent, matching the sequential reference bit for bit.
   const int world = 4;
   const std::size_t len = 257;
   for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kAvg, ReduceOp::kMin,
                             ReduceOp::kMax}) {
     const std::uint64_t seed = 86000 + static_cast<std::uint64_t>(op);
-    transport::InProcTransport clean_tr(world);
-    const auto clean =
-        RunPipeline(clean_tr, world, len, op, /*pool=*/nullptr, seed);
-
     transport::InProcTransport inner(world);
     transport::FaultSpec spec;
     spec.seed = 4242 + static_cast<std::uint64_t>(op);
@@ -997,7 +1118,8 @@ TEST(PipelinedChaosTest, BitIdenticalUnderLosslessFaultSchedule) {
           RingAllReduce(comm, data[static_cast<std::size_t>(rank)], op).ok());
     });
 
-    ExpectBitIdentical(clean, data);
+    ExpectBitIdentical(RefRingAllReduce(MakeRankData(world, len, seed), op),
+                       data);
     const transport::FaultStats stats = chaotic.stats();
     EXPECT_GT(stats.duplicated + stats.reordered + stats.delayed, 0u)
         << "fault schedule did not fire; chaos coverage is vacuous";
@@ -1009,12 +1131,13 @@ TEST(ThreadedCollectiveTest, PipelinedRingMessageCount) {
   // Depth-d slicing multiplies each rank's 2(n-1) chunk sends into
   // 2(n-1)*d_eff slice sends, where d_eff clamps to the per-step chunk size.
   const int world = 4;
+  common::BufferPool pool;
   {
     transport::InProcTransport tr(world);
     auto data = MakeRankData(world, 64, 21);  // chunks of 16: depth 4 fits
     RunAllRanks(world, [&](int rank) {
-      Comm comm{&tr,     rank, world, /*tag_base=*/0, /*timeout_ms=*/0,
-                nullptr, /*pipeline_depth=*/4};
+      Comm comm{&tr,   rank, world, /*tag_base=*/0, /*timeout_ms=*/0,
+                &pool, /*pipeline_depth=*/4};
       EXPECT_TRUE(
           RingAllReduce(comm, data[static_cast<std::size_t>(rank)],
                         ReduceOp::kSum).ok());
@@ -1026,8 +1149,8 @@ TEST(ThreadedCollectiveTest, PipelinedRingMessageCount) {
     transport::InProcTransport tr(world);
     auto data = MakeRankData(world, 6, 22);  // 1-float chunks: d_eff = 1
     RunAllRanks(world, [&](int rank) {
-      Comm comm{&tr,     rank, world, /*tag_base=*/0, /*timeout_ms=*/0,
-                nullptr, /*pipeline_depth=*/8};
+      Comm comm{&tr,   rank, world, /*tag_base=*/0, /*timeout_ms=*/0,
+                &pool, /*pipeline_depth=*/8};
       EXPECT_TRUE(
           RingAllReduce(comm, data[static_cast<std::size_t>(rank)],
                         ReduceOp::kSum).ok());

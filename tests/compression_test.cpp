@@ -6,11 +6,12 @@
 #include <limits>
 
 #include "common/rng.h"
-#include "core/compression.h"
+#include "compress/codec.h"
+#include "compress/scalar.h"
 #include "core/perseus.h"
 #include "dnn/mlp.h"
 
-namespace aiacc::core {
+namespace aiacc::compress {
 namespace {
 
 TEST(HalfCodecTest, ExactlyRepresentableValues) {
@@ -100,10 +101,10 @@ TEST(HalfCodecTest, MonotonicOnSamples) {
 
 TEST(HalfCodecTest, BulkEncodeDecode) {
   std::vector<float> values = {1.5f, -2.25f, 0.0f, 100.0f};
-  const auto halfs = CompressToHalf(values);
-  ASSERT_EQ(halfs.size(), values.size());
+  std::vector<std::uint16_t> halfs(values.size());
+  CastEncodeLanes(CodecKind::kFp16, values, halfs);
   std::vector<float> back(values.size());
-  DecompressFromHalf(halfs, back);
+  CastDecodeLanes(CodecKind::kFp16, halfs, back);
   EXPECT_EQ(back, values);  // all exactly representable
 }
 
@@ -145,4 +146,4 @@ TEST(Fp16WireTest, DistributedTrainingStillConverges) {
 }
 
 }  // namespace
-}  // namespace aiacc::core
+}  // namespace aiacc::compress

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
+#include <thread>
 
 #include "common/rng.h"
 #include "core/perseus.h"
@@ -101,6 +103,33 @@ TEST(PerseusTest, Fp16AllReduceQuantizesButAverages) {
   EXPECT_NEAR(data[0][0], 0.1f, 0.1f / 1000.0f);
   EXPECT_NE(data[0][0], 0.1f);           // quantization visible
   EXPECT_FLOAT_EQ(data[0][1], 2048.0f);  // 2048.5 rounds to 2048 in half
+}
+
+TEST(PerseusTest, Fp16AllReduceHalvesWireBytes) {
+  // Every ring hop ships packed halves. 4096 floats keep every chunk even,
+  // so each hop's wire is exactly half its fp32 size (a 1-element chunk
+  // would still take one whole wire word).
+  const int world = 2;
+  auto wire_bytes = [&](bool fp16) {
+    auto context = std::make_shared<Context>(world);
+    std::vector<std::thread> threads;
+    for (int r = 0; r < world; ++r) {
+      threads.emplace_back([&context, fp16, r] {
+        Session s(context, r);
+        std::vector<float> v(4096, 0.5f + static_cast<float>(r));
+        if (fp16) {
+          s.AllReduceFp16(v);
+        } else {
+          s.AllReduce(v);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    return context->transport().TotalPayloadBytes();
+  };
+  const std::uint64_t fp32_bytes = wire_bytes(false);
+  EXPECT_EQ(fp32_bytes, 32768u);  // 2 ranks x 2 hops x 2048 floats x 4 B
+  EXPECT_EQ(wire_bytes(true), fp32_bytes / 2);
 }
 
 TEST(PerseusTest, BroadcastParametersMultiTensor) {

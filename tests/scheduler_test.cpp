@@ -238,7 +238,7 @@ TEST(PreemptionTest, SliceYieldHookFiresDuringPipelinedRing) {
     threads.emplace_back([&, r] {
       std::vector<float> data(1u << 14, static_cast<float>(r + 1));
       collective::Comm comm{&tr, r, kWorld, /*tag_base=*/1,
-                            /*timeout_ms=*/0, nullptr,
+                            /*timeout_ms=*/0, &common::BufferPool::Global(),
                             /*pipeline_depth=*/4};
       comm.slice_yield = [](void* ctx) {
         static_cast<std::atomic<int>*>(ctx)->fetch_add(1);

@@ -25,9 +25,9 @@ without a compiler or libclang:
   4. legacy-counter ban: the HotPathCounters struct was replaced by the
      telemetry metrics registry (src/telemetry/metrics.h); any reappearance
      of `HotPathCounters` / `GlobalHotPathCounters` in src/, tests/, or
-     bench/ is a regression to the pre-registry side-channel. The legacy
-     alloc count lives on as the registry counter `hotpath.payload_allocs`
-     (a string, which this token scan does not match).
+     bench/ is a regression to the pre-registry side-channel. Payload
+     allocations are now counted as BufferPool misses (the only buffer
+     path in the collectives).
 
   5. hot-path raw-alloc ban: `new` / `malloc` / `calloc` / `realloc` may
      not appear in src/transport/ or src/compress/. Every payload and codec
