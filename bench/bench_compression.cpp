@@ -10,15 +10,17 @@
 // InProcTransport (cast codecs ride the sliced ring, sparse codecs the
 // record all-gather of CompressedAllReduce with per-rank error-feedback
 // residuals) and reports measured transport bytes via TotalPayloadBytes,
-// the reduction vs the raw-fp32 wire, per-all-reduce latency (after one
-// untimed warm-up all-reduce per codec), and the relative error of the
-// final iteration against the exact fp32 average.
+// the reduction vs the raw-fp32 wire, the median and quartiles of the
+// per-iteration all-reduce time (after one untimed warm-up all-reduce per
+// codec), and the relative error of the final iteration against the exact
+// fp32 average.
 //
 // A second section demonstrates the per-tensor codec bandit
 // (compress::PerTensorCodecTuner): after a few dozen observed rounds it must
 // settle on different codecs for the two shapes (fp16 for dense, top-k for
-// the sparse embedding). `--json` prints a machine-readable summary (the
-// checked-in BENCH_compression.json); `--smoke` shrinks the workloads and
+// the sparse embedding). `--json` prints a machine-readable summary with
+// the core count and build flags (the checked-in BENCH_compression.json,
+// from the release-bench preset); `--smoke` shrinks the workloads and
 // exits non-zero unless fp16 cuts embedding wire bytes by >= 1.9x, top-k by
 // >= 10x, and the bandit separates the two workloads (wired into ctest).
 #include <barrier>
@@ -32,6 +34,7 @@
 
 #include "collective/threaded.h"
 #include "common/buffer_pool.h"
+#include "common/stats.h"
 #include "compress/codec.h"
 #include "compress/tuner.h"
 #include "transport/inproc.h"
@@ -46,7 +49,7 @@ struct BenchConfig {
   int world = 4;
   std::size_t dense_elems = 1u << 18;
   std::size_t embed_elems = 1u << 20;
-  int iters = 5;
+  int iters = 40;
   int tuner_rounds = 60;
 };
 
@@ -72,12 +75,16 @@ float EmbeddingValue(int rank, std::size_t i) {
 struct CodecResult {
   CodecSpec spec;
   std::uint64_t wire_bytes = 0;
-  double seconds = 0.0;
+  // Per-iteration all-reduce time: quartiles over the timed iterations.
+  double us_p25 = 0.0;
+  double us_p50 = 0.0;
+  double us_p75 = 0.0;
   double rel_error = 0.0;
 };
 
 /// Run one untimed warm-up all-reduce, then `iters` timed all-reduces of
-/// the generated workload at every rank, and measure transport bytes +
+/// the generated workload at every rank, and measure transport bytes,
+/// each iteration's time (fence to fence, so the slowest rank sets it) and
 /// final-iteration error vs the exact average. The warm-up takes the pool
 /// misses and first-touch page faults, so the timed window is steady state
 /// whichever codec a process measures first.
@@ -134,17 +141,26 @@ CodecResult RunCodecPhase(const CodecSpec& spec, int world,
   // iteration and nothing else.
   gate.arrive_and_wait();
   const std::uint64_t wire0 = tr.TotalPayloadBytes();
-  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<double> iter_us;
+  iter_us.reserve(static_cast<std::size_t>(iters));
+  auto t0 = std::chrono::steady_clock::now();
   gate.arrive_and_wait();
-  for (int it = 0; it < iters; ++it) gate.arrive_and_wait();
-  const auto t1 = std::chrono::steady_clock::now();
+  for (int it = 0; it < iters; ++it) {
+    gate.arrive_and_wait();
+    const auto t1 = std::chrono::steady_clock::now();
+    iter_us.push_back(
+        std::chrono::duration<double, std::micro>(t1 - t0).count());
+    t0 = t1;
+  }
   gate.arrive_and_wait();
   for (auto& t : threads) t.join();
 
   CodecResult result;
   result.spec = spec;
   result.wire_bytes = tr.TotalPayloadBytes() - wire0;
-  result.seconds = std::chrono::duration<double>(t1 - t0).count();
+  result.us_p25 = aiacc::PercentileInPlace(iter_us, 25.0);
+  result.us_p50 = aiacc::PercentileInPlace(iter_us, 50.0);
+  result.us_p75 = aiacc::PercentileInPlace(iter_us, 75.0);
   // Exact average of the last iteration's inputs.
   double err2 = 0.0;
   double ref2 = 0.0;
@@ -212,8 +228,10 @@ struct WorkloadReport {
 void PrintJson(const BenchConfig& cfg,
                const std::vector<WorkloadReport>& workloads,
                const CodecSpec& dense_pick, const CodecSpec& embed_pick) {
-  std::printf("{\"world\": %d, \"iters\": %d,\n \"workloads\": [\n",
-              cfg.world, cfg.iters);
+  std::printf("{\"world\": %d, \"iters\": %d, \"cores\": %u, "
+              "\"build\": \"%s\",\n \"workloads\": [\n",
+              cfg.world, cfg.iters, std::thread::hardware_concurrency(),
+              AIACC_BENCH_BUILD);
   for (std::size_t w = 0; w < workloads.size(); ++w) {
     const WorkloadReport& wl = workloads[w];
     const double raw = static_cast<double>(wl.codecs.front().wire_bytes);
@@ -223,13 +241,14 @@ void PrintJson(const BenchConfig& cfg,
       const CodecResult& r = wl.codecs[c];
       std::printf("    {\"codec\": \"%s\", \"wire_bytes\": %llu, "
                   "\"reduction_vs_raw\": %.2f, \"rel_error\": %.3e, "
-                  "\"all_reduce_us\": %.1f}%s\n",
+                  "\"all_reduce_us\": %.1f, \"all_reduce_us_p25\": %.1f, "
+                  "\"all_reduce_us_p75\": %.1f}%s\n",
                   aiacc::compress::ToString(r.spec).c_str(),
                   static_cast<unsigned long long>(r.wire_bytes),
                   r.wire_bytes > 0
                       ? raw / static_cast<double>(r.wire_bytes)
                       : 0.0,
-                  r.rel_error, 1e6 * r.seconds / cfg.iters,
+                  r.rel_error, r.us_p50, r.us_p25, r.us_p75,
                   c + 1 < wl.codecs.size() ? "," : "");
     }
     std::printf("  ]}%s\n", w + 1 < workloads.size() ? "," : "");
@@ -251,12 +270,12 @@ void PrintText(const BenchConfig& cfg,
     std::printf("  %s (%zu floats):\n", wl.name.c_str(), wl.elems);
     for (const CodecResult& r : wl.codecs) {
       std::printf("    %-12s %12llu wire bytes  %6.2fx  rel_err %.3e  "
-                  "%10.1f us/all-reduce\n",
+                  "%10.1f us/all-reduce (p25 %.1f, p75 %.1f)\n",
                   aiacc::compress::ToString(r.spec).c_str(),
                   static_cast<unsigned long long>(r.wire_bytes),
                   r.wire_bytes > 0 ? raw / static_cast<double>(r.wire_bytes)
                                    : 0.0,
-                  r.rel_error, 1e6 * r.seconds / cfg.iters);
+                  r.rel_error, r.us_p50, r.us_p25, r.us_p75);
     }
   }
   std::printf("  per-tensor bandit after %d rounds: dense_conv -> %s, "

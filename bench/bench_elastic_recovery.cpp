@@ -253,11 +253,10 @@ int main(int argc, char** argv) {
           RunReliabilityEngine(2, SweepConfig(), fragile, kIters);
 
       // Robust leg: same schedule under the reliable transport with the
-      // degradation ladder armed.
-      transport::FaultSpec raw = spec;
-      raw.delivery = transport::FaultDelivery::kRaw;
+      // degradation ladder armed (the engine's stack runs the faults raw
+      // under the reliable layer).
       const EngineRunResult robust = RunReliabilityEngine(
-          2, SweepConfig(), RobustFailureConfig(raw), kIters);
+          2, SweepConfig(), RobustFailureConfig(spec), kIters);
 
       if (!first) json += ",\n";
       first = false;

@@ -844,34 +844,37 @@ int MultiChannelWorkerCount() {
   return static_cast<int>(GlobalChannelWorkers().pool.size());
 }
 
-Status MultiChannelAllReduce(const Comm& comm, std::span<float> data,
-                             ReduceOp op, int num_channels) {
-  AIACC_CHECK(comm.pool != nullptr);
-  AIACC_CHECK(num_channels >= 1);
-  // Fall back to a single ring when the payload cannot feed every channel
-  // at least one element per ring chunk *per pipeline slice* — combined
-  // with the per-ring EffectivePipelineDepth clamp this makes degenerate
-  // empty slices impossible at any channel count.
+namespace {
+
+// Fall back to a single ring when the payload cannot feed every channel at
+// least one element per ring chunk *per pipeline slice*; combined with the
+// per-ring EffectivePipelineDepth clamp this makes degenerate empty slices
+// impossible at any channel count. It depends only on values identical
+// across ranks, so either every rank takes it or none does.
+bool SingleRingFallback(const Comm& comm, std::size_t len, int num_channels) {
   const std::size_t depth = static_cast<std::size_t>(
       std::clamp(comm.pipeline_depth, 1, kMaxPipelineDepth));
-  if (num_channels == 1 ||
-      data.size() < static_cast<std::size_t>(num_channels) *
-                        static_cast<std::size_t>(comm.world_size) * depth) {
-    return RingAllReduce(comm, data, op);
-  }
-  // Channel 0 runs on the calling thread, so k channels consume k-1 pool
-  // workers. Reserving before submitting keeps pool size >= the number of
-  // channel tasks in flight across *all* concurrent invocations — ring
-  // tasks block on their peers, so every submitted task must be running for
-  // any of them to finish.
+  return num_channels == 1 ||
+         len < static_cast<std::size_t>(num_channels) *
+                   static_cast<std::size_t>(comm.world_size) * depth;
+}
+
+// Runs `run_channel(j)` for j in [0, channels) concurrently and returns each
+// channel's status. Channel 0 runs on the calling thread, so k channels
+// consume k-1 pool workers. Reserving before submitting keeps pool size >=
+// the number of channel tasks in flight across *all* concurrent
+// invocations: ring tasks block on their peers, so every submitted task
+// must be running for any of them to finish. Capturing by reference is
+// safe because this blocks on the completion latch before returning.
+template <typename Runner>
+std::vector<Status> FanOutChannels(int channels, const Runner& run_channel) {
   ChannelWorkers& workers = GlobalChannelWorkers();
-  const std::size_t extra = static_cast<std::size_t>(num_channels - 1);
+  const std::size_t extra = static_cast<std::size_t>(channels - 1);
   {
     common::MutexLock lock(workers.mu);
     workers.reserved += extra;
     workers.pool.EnsureWorkers(workers.reserved);
   }
-
   // Stack-local completion latch: acquired last, nests under nothing.
   struct Completion {
     common::Mutex mu{"mc-completion"};
@@ -882,29 +885,16 @@ Status MultiChannelAllReduce(const Comm& comm, std::span<float> data,
     common::MutexLock lock(done.mu);
     done.remaining = static_cast<int>(extra);
   }
-  std::vector<Status> channel_status(static_cast<std::size_t>(num_channels));
-  // One runner for every channel — the pool workers and the calling thread
-  // (which runs channel 0 inline) build the sub-Comm/slice identically.
-  // Safe to capture `comm`/`data` by reference/value: the invocation blocks
-  // on the completion latch before returning.
-  auto run_channel = [&comm, data, op, num_channels](int c) -> Status {
-    const std::size_t b = ChunkBegin(data.size(), num_channels, c);
-    const std::size_t e = ChunkBegin(data.size(), num_channels, c + 1);
-    Comm sub = comm;
-    // Each channel gets a disjoint tag namespace (collective/tags.h).
-    sub.tag_base = ChannelTagBase(comm.tag_base, c);
-    AIACC_TRACE_SPAN_IDX("comm.channel", "channel", c);
-    return RingAllReduce(sub, data.subspan(b, e - b), op);
-  };
-  for (int c = 1; c < num_channels; ++c) {
-    Status* slot = &channel_status[static_cast<std::size_t>(c)];
-    workers.pool.Submit([run_channel, slot, &done, c] {
-      *slot = run_channel(c);
+  std::vector<Status> status(static_cast<std::size_t>(channels));
+  for (int j = 1; j < channels; ++j) {
+    Status* slot = &status[static_cast<std::size_t>(j)];
+    workers.pool.Submit([&run_channel, slot, &done, j] {
+      *slot = run_channel(j);
       common::MutexLock lock(done.mu);
       if (--done.remaining == 0) done.cv.NotifyAll();
     });
   }
-  channel_status[0] = run_channel(0);
+  status[0] = run_channel(0);
   {
     common::MutexLock lock(done.mu);
     while (done.remaining != 0) done.cv.Wait(lock);
@@ -913,7 +903,37 @@ Status MultiChannelAllReduce(const Comm& comm, std::span<float> data,
     common::MutexLock lock(workers.mu);
     workers.reserved -= extra;
   }
-  for (const Status& st : channel_status) {
+  return status;
+}
+
+// Ring all-reduce of chunk `j` of `m` on `tag_base`, traced as `channel`.
+Status RunChannelChunk(const Comm& comm, std::span<float> data, ReduceOp op,
+                       int m, int j, int channel, int tag_base) {
+  const std::size_t b = ChunkBegin(data.size(), m, j);
+  const std::size_t e = ChunkBegin(data.size(), m, j + 1);
+  Comm sub = comm;
+  sub.tag_base = tag_base;
+  AIACC_TRACE_SPAN_IDX("comm.channel", "channel", channel);
+  return RingAllReduce(sub, data.subspan(b, e - b), op);
+}
+
+}  // namespace
+
+Status MultiChannelAllReduce(const Comm& comm, std::span<float> data,
+                             ReduceOp op, int num_channels) {
+  AIACC_CHECK(comm.pool != nullptr);
+  AIACC_CHECK(num_channels >= 1);
+  if (SingleRingFallback(comm, data.size(), num_channels)) {
+    return RingAllReduce(comm, data, op);
+  }
+  // The identity plan: channel c owns chunk c on its own tag namespace
+  // (collective/tags.h).
+  const std::vector<Status> status =
+      FanOutChannels(num_channels, [&](int c) {
+        return RunChannelChunk(comm, data, op, num_channels, c, c,
+                               ChannelTagBase(comm.tag_base, c));
+      });
+  for (const Status& st : status) {
     if (!st.ok()) return st;
   }
   return Status::Ok();
@@ -928,14 +948,8 @@ Status MultiChannelAllReduce(const Comm& comm, std::span<float> data,
   AIACC_CHECK(comm.pool != nullptr);
   AIACC_CHECK(num_channels >= 1);
   AIACC_CHECK(health->options().world_size == comm.world_size);
-  // Same small-payload fallback condition as the plain overload — it only
-  // depends on values identical across ranks, so either every rank takes
-  // it (and skips the tracker round entirely) or none does.
-  const std::size_t depth = static_cast<std::size_t>(
-      std::clamp(comm.pipeline_depth, 1, kMaxPipelineDepth));
-  if (num_channels == 1 ||
-      data.size() < static_cast<std::size_t>(num_channels) *
-                        static_cast<std::size_t>(comm.world_size) * depth) {
+  // Ranks that fall back skip the tracker round entirely.
+  if (SingleRingFallback(comm, data.size(), num_channels)) {
     return RingAllReduce(comm, data, op);
   }
 
@@ -955,58 +969,18 @@ Status MultiChannelAllReduce(const Comm& comm, std::span<float> data,
     comm.pool->Release(std::move(snapshot));
   };
 
-  ChannelWorkers& workers = GlobalChannelWorkers();
-  const std::size_t extra = static_cast<std::size_t>(m - 1);
-  {
-    common::MutexLock lock(workers.mu);
-    workers.reserved += extra;
-    workers.pool.EnsureWorkers(workers.reserved);
-  }
-  struct Completion {
-    common::Mutex mu{"mc-completion"};
-    common::CondVar cv;
-    int remaining GUARDED_BY(mu) = 0;
-  } done;
-  {
-    common::MutexLock lock(done.mu);
-    done.remaining = static_cast<int>(extra);
-  }
-  std::vector<Status> channel_status(static_cast<std::size_t>(m));
   // Plan position j owns chunk j of m (the rebalancing: fewer active
   // channels = wider chunks) and runs on the *channel's* agreed home
   // namespace — its epoch-0 tags inside the caller's namespace until its
   // first failure, a fresh agreed epoch home afterwards (a failed ring
   // strands stale messages on the old tags forever).
-  auto run_channel = [&comm, data, op, m, &plan, &plan_tags](int j) -> Status {
-    const std::size_t b = ChunkBegin(data.size(), m, j);
-    const std::size_t e = ChunkBegin(data.size(), m, j + 1);
-    Comm sub = comm;
+  const std::vector<Status> channel_status = FanOutChannels(m, [&](int j) {
+    const int channel = plan[static_cast<std::size_t>(j)];
     const int agreed = plan_tags[static_cast<std::size_t>(j)];
-    sub.tag_base =
-        agreed >= 0
-            ? agreed
-            : ChannelTagBase(comm.tag_base, plan[static_cast<std::size_t>(j)]);
-    AIACC_TRACE_SPAN_IDX("comm.channel", "channel",
-                         plan[static_cast<std::size_t>(j)]);
-    return RingAllReduce(sub, data.subspan(b, e - b), op);
-  };
-  for (int j = 1; j < m; ++j) {
-    Status* slot = &channel_status[static_cast<std::size_t>(j)];
-    workers.pool.Submit([run_channel, slot, &done, j] {
-      *slot = run_channel(j);
-      common::MutexLock lock(done.mu);
-      if (--done.remaining == 0) done.cv.NotifyAll();
-    });
-  }
-  channel_status[0] = run_channel(0);
-  {
-    common::MutexLock lock(done.mu);
-    while (done.remaining != 0) done.cv.Wait(lock);
-  }
-  {
-    common::MutexLock lock(workers.mu);
-    workers.reserved -= extra;
-  }
+    return RunChannelChunk(
+        comm, data, op, m, j, channel,
+        agreed >= 0 ? agreed : ChannelTagBase(comm.tag_base, channel));
+  });
 
   // Every rank reports — even on shutdown — or its peers block out their
   // full agreement timeout waiting for this invocation.

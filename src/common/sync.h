@@ -1,7 +1,7 @@
 // Concurrency primitives for the whole repository: the ONLY place where
-// std::mutex / std::condition_variable may appear (tools/check_invariants.py
-// enforces this as a ctest). Everything else locks through these wrappers,
-// which buys two machine-checked guarantees:
+// std::mutex / std::condition_variable may appear (the banned-token check
+// of tools/aiacc_analyzer enforces this as a ctest). Everything else locks
+// through these wrappers, which buys two machine-checked guarantees:
 //
 //   1. Static race detection. The wrappers carry Clang thread-safety
 //      annotations (CAPABILITY / GUARDED_BY / REQUIRES / ACQUIRE / RELEASE /

@@ -52,8 +52,8 @@
 // reference instead; so do the tails shorter than a block.
 //
 // All scratch is acquired from a common::BufferPool — the codec layer
-// preserves the repo's zero-steady-state-allocation guarantee (the raw-alloc
-// lint ban in tools/check_invariants.py covers this directory).
+// preserves the repo's zero-steady-state-allocation guarantee (the
+// analyzer's banned-token check bans raw allocations in this directory).
 #pragma once
 
 #include <cstddef>

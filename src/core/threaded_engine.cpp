@@ -40,6 +40,22 @@ int LevelFromMask(float lane) {
   return mask == 0 ? 31 : std::countr_zero(mask);
 }
 
+// The tracing layer's options when message tracing is on. trace_messages:
+// -1 auto (stamp iff the tracer records flow-level events right now), 0 off,
+// 1 forced on.
+std::optional<transport::TracingOptions> TracingFor(
+    const FailureConfig& failure) {
+  const bool stamp_messages =
+      failure.trace_messages > 0 ||
+      (failure.trace_messages < 0 &&
+       telemetry::RuntimeTracer::Global().enabled(
+           telemetry::TraceLevel::kPhase));
+  if (!stamp_messages) return std::nullopt;
+  transport::TracingOptions options;
+  options.rank_skew_ns = failure.trace_rank_skew_ns;
+  return options;
+}
+
 std::string RankList(const std::vector<int>& ranks) {
   std::string out;
   for (int r : ranks) {
@@ -57,8 +73,11 @@ ThreadedAiaccEngine::ThreadedAiaccEngine(int world_size, CommConfig config,
       config_(config),
       failure_(std::move(failure)),
       metrics_dump_period_ms_(telemetry::MetricsDumpPeriodMs()),
-      inproc_(world_size),
-      transport_(&inproc_),
+      stack_(world_size, failure_.faults,
+             failure_.reliable_transport
+                 ? std::optional(failure_.reliable_options)
+                 : std::nullopt,
+             TracingFor(failure_)),
       degradation_(failure_.degradation) {
   AIACC_CHECK(world_size >= 1);
   AIACC_CHECK(config_.num_streams >= 1);
@@ -81,41 +100,6 @@ ThreadedAiaccEngine::ThreadedAiaccEngine(int world_size, CommConfig config,
   service_pool_ = std::make_unique<ThreadPool>(service_tasks);
   if (metrics_dump_period_ms_ > 0) {
     service_pool_->Submit([this] { MetricsDumpLoop(); });
-  }
-  // Transport stack (bottom to top): inproc -> faulty -> reliable. When the
-  // reliable layer is on, the fault spec is forced to raw delivery — the
-  // reliable layer owns framing/reassembly, and faults must hit its wire
-  // frames (so a flipped bit lands in a CRC-protected frame, not in the
-  // strict-mode reassembly metadata underneath it).
-  if (failure_.faults.has_value()) {
-    transport::FaultSpec spec = *failure_.faults;
-    if (failure_.reliable_transport) {
-      spec.delivery = transport::FaultDelivery::kRaw;
-    }
-    faulty_ = std::make_unique<transport::FaultyTransport>(inproc_, spec);
-    transport_ = faulty_.get();
-  }
-  if (failure_.reliable_transport) {
-    reliable_ = std::make_unique<transport::ReliableTransport>(
-        *transport_, failure_.reliable_options);
-    transport_ = reliable_.get();
-  }
-  // Observability tier rides on top of everything: the stamp trailer is
-  // appended last on send and stripped first on receive, so the reliable
-  // layer's CRC covers it and the layers below never see trailer lanes.
-  // trace_messages: -1 auto (stamp iff the tracer records flow-level
-  // events right now), 0 off, 1 forced on.
-  const bool stamp_messages =
-      failure_.trace_messages > 0 ||
-      (failure_.trace_messages < 0 &&
-       telemetry::RuntimeTracer::Global().enabled(
-           telemetry::TraceLevel::kPhase));
-  if (stamp_messages) {
-    transport::TracingOptions topts;
-    topts.rank_skew_ns = failure_.trace_rank_skew_ns;
-    tracing_ =
-        std::make_unique<transport::TracingTransport>(*transport_, topts);
-    transport_ = tracing_.get();
   }
   workers_.reserve(static_cast<std::size_t>(world_size));
   ranks_.reserve(static_cast<std::size_t>(world_size));
@@ -196,7 +180,7 @@ void ThreadedAiaccEngine::Shutdown() {
     state->queue->Shutdown();
     state->scheduler->Shutdown();
   }
-  transport_->Shutdown();
+  stack_.top().Shutdown();
   for (auto& state : ranks_) {
     common::MutexLock lock(state->mu);
     state->cv.NotifyAll();
@@ -219,8 +203,8 @@ std::vector<int> ThreadedAiaccEngine::SuspectedRanks() const {
 
 std::uint64_t ThreadedAiaccEngine::FaultPressure() const {
   std::uint64_t pressure = unit_retries_->Value();
-  if (reliable_ != nullptr) {
-    const transport::ReliableStats s = reliable_->stats();
+  if (const transport::ReliableTransport* reliable = stack_.reliable()) {
+    const transport::ReliableStats s = reliable->stats();
     pressure += s.retransmits + s.crc_failures + s.delivery_failures;
   }
   return pressure;
@@ -253,7 +237,7 @@ void ThreadedAiaccEngine::Abort(Status status, std::vector<int> suspected) {
     state->queue->Shutdown();
     state->scheduler->Shutdown();
   }
-  transport_->Shutdown();
+  stack_.top().Shutdown();
   for (auto& state : ranks_) {
     common::MutexLock lock(state->mu);
     state->cv.NotifyAll();
@@ -482,13 +466,13 @@ void ThreadedAiaccEngine::HeartbeatLoop(int rank) {
       if (peer == rank) continue;
       transport::Payload pulse = pool.Acquire(1);
       pulse[0] = static_cast<float>(beat);
-      transport_->Send(rank, peer, kHeartbeatTag, std::move(pulse));
+      stack_.top().Send(rank, peer, kHeartbeatTag, std::move(pulse));
     }
     ++beat;
     AIACC_TRACE_INSTANT_V("engine.hb", "heartbeat");
     for (int peer = 0; peer < world_size_; ++peer) {
       if (peer == rank) continue;
-      while (auto pulse = transport_->TryRecv(rank, peer, kHeartbeatTag)) {
+      while (auto pulse = stack_.top().TryRecv(rank, peer, kHeartbeatTag)) {
         last_seen[static_cast<std::size_t>(peer)] = Clock::now();
         pool.Release(std::move(*pulse));
       }
@@ -597,7 +581,7 @@ void ThreadedAiaccEngine::RunIterationProtocol(
     if (degrade) {
       sync_scratch[sync_words] = LevelMask(degradation_.level());
     }
-    collective::Comm comm{transport_, rank, world_size_, kSyncTag,
+    collective::Comm comm{&stack_.top(), rank, world_size_, kSyncTag,
                           failure_.collective_timeout_ms};
     const Status st = [&] {
       AIACC_TRACE_SPAN("engine", "sync-round");
@@ -798,7 +782,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
       // One concurrent all-reduce per unit, on the unit's own (epoch-fresh)
       // tag channel — this thread is one "communication stream" of
       // Algorithm 1.
-      collective::Comm comm{transport_, rank, world_size_,
+      collective::Comm comm{&stack_.top(), rank, world_size_,
                             UnitEpochTagBase(unit->unit_id, epoch),
                             failure_.collective_timeout_ms};
       // Attempt 0 runs at the depth agreed by the sync protocol (stamped on

@@ -50,10 +50,7 @@
 #include "core/registry.h"
 #include "core/scheduler.h"
 #include "telemetry/metrics.h"
-#include "transport/faulty.h"
-#include "transport/inproc.h"
-#include "transport/reliable.h"
-#include "transport/tracing.h"
+#include "transport/stack.h"
 
 namespace aiacc::core {
 
@@ -76,8 +73,9 @@ struct FailureConfig {
   /// Tier 1 of the fault story: stack a ReliableTransport over the faulty
   /// layer so dropped/duplicated/reordered/corrupted messages are repaired
   /// in-band (retransmit + dedup + CRC) instead of surfacing as collective
-  /// deadline failures. When enabled together with `faults`, the fault spec
-  /// is forced to FaultDelivery::kRaw — the reliable layer owns framing.
+  /// deadline failures. The fault layer then runs raw delivery whatever
+  /// `faults` says (transport::TransportStack): the reliable layer owns
+  /// framing.
   bool reliable_transport = false;
   transport::ReliableOptions reliable_options;
 
@@ -235,19 +233,19 @@ class ThreadedAiaccEngine {
   /// The injector when FailureConfig::faults is set (tests poke it to
   /// crash ranks mid-run); nullptr otherwise.
   [[nodiscard]] transport::FaultyTransport* fault_injector() noexcept {
-    return faulty_.get();
+    return stack_.faulty();
   }
 
   /// The reliable layer when FailureConfig::reliable_transport is set
   /// (tests read its retransmit/CRC stats); nullptr otherwise.
   [[nodiscard]] transport::ReliableTransport* reliable_layer() noexcept {
-    return reliable_.get();
+    return stack_.reliable();
   }
 
   /// The tracing layer when message tracing is active (tests read its
   /// stamp/strip stats and HLC values); nullptr otherwise.
   [[nodiscard]] transport::TracingTransport* tracing_layer() noexcept {
-    return tracing_.get();
+    return stack_.tracing();
   }
 
   /// Current agreed-upon degradation level (0 = full configuration).
@@ -347,11 +345,7 @@ class ThreadedAiaccEngine {
   // worker for the engine to make progress. Destroying the pool (Shutdown)
   // joins everything; Abort only signals and never joins.
   std::unique_ptr<ThreadPool> service_pool_;  // NOLOCK(set in ctor, reset only by the one Shutdown winner)
-  transport::InProcTransport inproc_;         // NOLOCK(internally synchronized)
-  std::unique_ptr<transport::FaultyTransport> faulty_;  // NOLOCK(set in ctor only)
-  std::unique_ptr<transport::ReliableTransport> reliable_;  // NOLOCK(set in ctor only)
-  std::unique_ptr<transport::TracingTransport> tracing_;  // NOLOCK(set in ctor only)
-  transport::Transport* transport_;  // NOLOCK(set in ctor; topmost decorator of the inproc -> faulty -> reliable -> tracing stack)
+  transport::TransportStack stack_;  // NOLOCK(built in ctor; layers internally synchronized)
   DegradationController degradation_;  // NOLOCK(internally synchronized)
   telemetry::Counter* unit_retries_;   // NOLOCK(set in ctor only)
   std::vector<std::unique_ptr<Worker>> workers_;  // NOLOCK(sized in ctor, never resized)

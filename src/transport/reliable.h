@@ -93,9 +93,10 @@ struct ReliableStats {
 
 class ReliableTransport final : public Transport {
  public:
-  /// `inner` must outlive this decorator. If `inner` is a FaultyTransport
-  /// it must run FaultDelivery::kRaw — strict mode would add a second
-  /// (redundant) sequencing layer under this one.
+  /// `inner` must outlive this decorator. Over a FaultyTransport, build
+  /// both through transport::TransportStack, which runs the fault layer in
+  /// raw delivery (strict mode would add a second, redundant sequencing
+  /// layer under this one).
   explicit ReliableTransport(Transport& inner, ReliableOptions options = {});
   ~ReliableTransport() override;
   ReliableTransport(const ReliableTransport&) = delete;

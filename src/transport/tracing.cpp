@@ -37,10 +37,6 @@ std::int64_t TracingTransport::PhysicalNow(int rank) const noexcept {
 }
 
 void TracingTransport::Send(int src, int dst, int tag, Payload payload) {
-  if (!options_.stamp) {
-    inner_.Send(src, dst, tag, std::move(payload));
-    return;
-  }
   telemetry::TraceStamp stamp;
   stamp.origin = src;
   stamp.msg_id = next_msg_id_[static_cast<std::size_t>(src)].fetch_add(
@@ -62,7 +58,6 @@ void TracingTransport::Send(int src, int dst, int tag, Payload payload) {
 }
 
 void TracingTransport::Unstamp(int rank, Payload& payload) {
-  if (!options_.stamp) return;
   // Stamping is symmetric: every frame on this stack carries a trailer, so
   // a parse failure means corruption reached the trailer (raw chaos mode
   // with no reliable layer below). Strip the lanes regardless — the body

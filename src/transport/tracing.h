@@ -12,13 +12,13 @@
 //   * both ends derive the flow id from the stamp alone, so no side
 //     channel or coordination exists between sender and receiver.
 //
-// Stamping is decided at construction (`TracingOptions::stamp`), never
-// mid-flight: sender and receiver run through the same decorator instance,
-// so frames are either all stamped or all pass-through — a frame can never
-// race an enable/disable edge and arrive half-interpreted. Flow *events*
-// are additionally gated on the global tracer being enabled, so a stamped
-// stack with tracing off only pays the trailer copy, and an unstamped
-// stack is a pure pass-through.
+// Stamping is decided when the stack is built (transport/stack.h), never
+// mid-flight: a stack either has this layer or not, and sender and receiver
+// run through the same decorator instance, so every frame is stamped — a
+// frame can never race an enable/disable edge and arrive half-interpreted.
+// Flow *events* are additionally gated on the global tracer being enabled,
+// so a stamped stack with tracing off only pays the trailer copy; a stack
+// without this layer pays nothing.
 //
 // Zero-alloc: the stamped wire copy comes from a BufferPool (the original
 // body is released back), and stripping shrinks in place — the steady
@@ -43,10 +43,6 @@
 namespace aiacc::transport {
 
 struct TracingOptions {
-  /// Append the trace-context trailer to every frame (both endpoints of a
-  /// stack share this decorator, so the setting is symmetric by
-  /// construction). false = pure pass-through.
-  bool stamp = true;
   /// Buffer recycler for the stamped wire copies.
   common::BufferPool* pool = &common::BufferPool::Global();
   /// Tracer receiving flow events (nullptr = the process-global tracer).
@@ -95,7 +91,6 @@ class TracingTransport final : public Transport {
   [[nodiscard]] std::int64_t HlcNow(int rank) const noexcept {
     return clocks_[static_cast<std::size_t>(rank)].last();
   }
-  [[nodiscard]] bool stamping() const noexcept { return options_.stamp; }
 
  private:
   /// Physical ns feeding `rank`'s HLC (tracer clock + injected skew).

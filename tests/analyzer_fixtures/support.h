@@ -56,6 +56,9 @@ class BlockingQueue {
   }
 };
 
+// Thread-safety annotation (no-op here, as under GCC).
+#define GUARDED_BY(x)
+
 class Mutex {};
 
 class MutexLock {

@@ -41,6 +41,8 @@ CHECK_STEMS = {
     "tag-collision": "tag_collision",
     "codec-record-validation": "codec_validation",
     "priority-ordering": "priority_ordering",
+    "banned-token": "banned_token",
+    "guarded-member": "guarded_member",
 }
 
 failures: list[str] = []

@@ -13,11 +13,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +34,7 @@
 #include "transport/faulty.h"
 #include "transport/inproc.h"
 #include "transport/reliable.h"
+#include "transport/stack.h"
 
 namespace aiacc {
 namespace {
@@ -48,8 +51,12 @@ using transport::FaultSpec;
 using transport::FaultyTransport;
 using transport::InProcTransport;
 using transport::LinkFaults;
+using transport::ReliableOptions;
 using transport::ReliableTransport;
 using transport::TagFaults;
+using transport::TracingOptions;
+using transport::Transport;
+using transport::TransportStack;
 
 int EnvInt(const char* name, int fallback) {
   const char* v = std::getenv(name);
@@ -149,14 +156,12 @@ TEST(ChaosSoakTest, CollectiveSoakMatrix) {
         spec.seed = 9000 + static_cast<std::uint64_t>(s) * 131 +
                     static_cast<std::uint64_t>(rate * 1000) * 7 +
                     static_cast<std::uint64_t>(shape.channels);
-        spec.delivery = FaultDelivery::kRaw;
         spec.all_links.drop_prob = rate;
         spec.all_links.dup_prob = rate;
         spec.all_links.reorder_prob = rate;
         spec.all_links.corrupt_prob = rate / 4.0;
-        InProcTransport inner(world);
-        FaultyTransport faulty(inner, spec);
-        ReliableTransport rel(faulty);
+        TransportStack stack(world, spec, ReliableOptions{});
+        ReliableTransport& rel = *stack.reliable();
         if (!RunTrackedSequence(rel, world, shape.channels, shape.depth,
                                 /*iters=*/4, /*data_seed=*/spec.seed,
                                 /*timeout_ms=*/30000)) {
@@ -550,6 +555,66 @@ TEST(DegradationControllerTest, LadderRisesCapsAndRestores) {
   for (int i = 0; i < 6; ++i) c.RecordSuccess();
   EXPECT_EQ(c.level(), 0);
   EXPECT_EQ(DegradationController::DepthAt(8, 3), 1);
+}
+
+// ------------------------------------------------- the transport stack --
+
+// Every combination of optional layers: each is present exactly when its
+// options are given, top() is the highest one present, and a frame
+// crosses the whole stack unchanged.
+TEST(TransportStackTest, EachLayerPresentExactlyWhenGiven) {
+  for (int mask = 0; mask < 8; ++mask) {
+    const bool faults = (mask & 1) != 0;
+    const bool reliable = (mask & 2) != 0;
+    const bool tracing = (mask & 4) != 0;
+    SCOPED_TRACE("faults=" + std::to_string(faults) +
+                 " reliable=" + std::to_string(reliable) +
+                 " tracing=" + std::to_string(tracing));
+    TransportStack stack(
+        2, faults ? std::optional(FaultSpec{}) : std::nullopt,
+        reliable ? std::optional(ReliableOptions{}) : std::nullopt,
+        tracing ? std::optional(TracingOptions{}) : std::nullopt);
+    EXPECT_EQ(stack.faulty() != nullptr, faults);
+    EXPECT_EQ(stack.reliable() != nullptr, reliable);
+    EXPECT_EQ(stack.tracing() != nullptr, tracing);
+    Transport* want = &stack.inproc();
+    if (faults) want = stack.faulty();
+    if (reliable) want = stack.reliable();
+    if (tracing) want = stack.tracing();
+    EXPECT_EQ(&stack.top(), want);
+
+    const transport::Payload body = {1.0f, 2.0f, 3.0f};
+    stack.top().Send(0, 1, 7, body);
+    auto got = stack.top().RecvFor(1, 0, 7, std::chrono::seconds(10));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, body);
+  }
+}
+
+// A strict spec runs raw under a reliable layer (the reliable layer owns
+// sequencing) and stays strict without one.
+TEST(TransportStackTest, ReliableLayerForcesRawFaultDelivery) {
+  FaultSpec spec;
+  ASSERT_EQ(spec.delivery, FaultDelivery::kStrict);
+  TransportStack strict(2, spec);
+  EXPECT_EQ(strict.faulty()->spec().delivery, FaultDelivery::kStrict);
+  TransportStack repaired(2, spec, ReliableOptions{});
+  EXPECT_NE(repaired.faulty()->spec().delivery, FaultDelivery::kStrict);
+}
+
+// Tracing sits above the reliable layer: the stamp trailer rides inside
+// the reliable frame (covered by its CRC) and is stripped before delivery.
+TEST(TransportStackTest, TracingIsTopmost) {
+  TransportStack stack(2, FaultSpec{}, ReliableOptions{}, TracingOptions{});
+  ASSERT_EQ(&stack.top(), stack.tracing());
+  const transport::Payload body = {4.0f, 5.0f};
+  stack.top().Send(0, 1, 9, body);
+  auto got = stack.top().RecvFor(1, 0, 9, std::chrono::seconds(10));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, body);
+  EXPECT_EQ(stack.tracing()->stats().stamped, 1u);
+  EXPECT_EQ(stack.tracing()->stats().stripped, 1u);
+  EXPECT_EQ(stack.reliable()->stats().delivered, 1u);
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include "transport/faulty.h"
 #include "transport/inproc.h"
 #include "transport/reliable.h"
+#include "transport/stack.h"
 
 #include "pool_prime.h"
 
@@ -728,14 +729,13 @@ TEST(RingCodecMatrixTest, ChaosReliableComposition) {
 
     transport::FaultSpec fault;
     fault.seed = 4242;
-    fault.delivery = transport::FaultDelivery::kRaw;
     fault.all_links.drop_prob = 0.03;
     fault.all_links.dup_prob = 0.03;
     fault.all_links.reorder_prob = 0.03;
     fault.all_links.corrupt_prob = 0.01;
-    transport::InProcTransport inner(world);
-    transport::FaultyTransport faulty(inner, fault);
-    transport::ReliableTransport rel(faulty);
+    transport::TransportStack stack(world, fault,
+                                    transport::ReliableOptions{});
+    transport::ReliableTransport& rel = *stack.reliable();
     const auto chaotic = run(rel);
 
     for (int r = 0; r < world; ++r) {

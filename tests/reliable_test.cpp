@@ -24,6 +24,7 @@
 #include "transport/faulty.h"
 #include "transport/inproc.h"
 #include "transport/reliable.h"
+#include "transport/stack.h"
 
 #include "pool_prime.h"
 
@@ -38,14 +39,13 @@ Payload MakeBody(int i, std::size_t lanes) {
   return body;
 }
 
-/// Send `n` bodies 0 -> 1 through Reliable(Faulty-raw(spec)) and require the
+/// Send `n` bodies 0 -> 1 through Reliable(Faulty(spec)) and require the
 /// receiver to observe exactly the sent stream, in order. Returns the
 /// reliable layer's stats for mix-specific assertions.
-ReliableStats RunStream(FaultSpec spec, int n, ReliableOptions opts = {}) {
-  spec.delivery = FaultDelivery::kRaw;
-  InProcTransport inner(2);
-  FaultyTransport faulty(inner, spec);
-  ReliableTransport rel(faulty, opts);
+ReliableStats RunStream(const FaultSpec& spec, int n,
+                        ReliableOptions opts = {}) {
+  TransportStack stack(2, spec, opts);
+  ReliableTransport& rel = *stack.reliable();
   const std::size_t lanes = 8;
   std::thread sender([&] {
     for (int i = 0; i < n; ++i) {
@@ -131,12 +131,10 @@ TEST(ReliableTransportTest, ExactlyOnceUnderCombinedChaos) {
 TEST(ReliableTransportTest, BidirectionalTrafficOnOneTag) {
   FaultSpec spec;
   spec.seed = 21;
-  spec.delivery = FaultDelivery::kRaw;
   spec.all_links.drop_prob = 0.15;
   spec.all_links.dup_prob = 0.1;
-  InProcTransport inner(2);
-  FaultyTransport faulty(inner, spec);
-  ReliableTransport rel(faulty);
+  TransportStack stack(2, spec, ReliableOptions{});
+  ReliableTransport& rel = *stack.reliable();
   const int n = 150;
   auto side = [&](int me, int peer) {
     std::thread sender([&, me, peer] {
@@ -160,12 +158,10 @@ TEST(ReliableTransportTest, BidirectionalTrafficOnOneTag) {
 TEST(ReliableTransportTest, TryRecvStaysStrictlyOrdered) {
   FaultSpec spec;
   spec.seed = 22;
-  spec.delivery = FaultDelivery::kRaw;
   spec.all_links.drop_prob = 0.3;
   spec.all_links.reorder_prob = 0.3;
-  InProcTransport inner(2);
-  FaultyTransport faulty(inner, spec);
-  ReliableTransport rel(faulty);
+  TransportStack stack(2, spec, ReliableOptions{});
+  ReliableTransport& rel = *stack.reliable();
   const int n = 100;
   for (int i = 0; i < n; ++i) rel.Send(0, 1, 4, MakeBody(i, 5));
   int got = 0;
@@ -189,15 +185,13 @@ TEST(ReliableTransportTest, TryRecvStaysStrictlyOrdered) {
 TEST(ReliableTransportTest, MessageDeadlineHandsOffToUpperTiers) {
   FaultSpec spec;
   spec.seed = 23;
-  spec.delivery = FaultDelivery::kRaw;
   spec.all_links.drop_prob = 1.0;  // nothing ever arrives
-  InProcTransport inner(2);
-  FaultyTransport faulty(inner, spec);
   ReliableOptions opts;
   opts.rto_initial_ms = 1;
   opts.rto_max_ms = 4;
   opts.message_deadline_ms = 30;
-  ReliableTransport rel(faulty, opts);
+  TransportStack stack(2, spec, opts);
+  ReliableTransport& rel = *stack.reliable();
   rel.Send(0, 1, 2, MakeBody(0, 4));
   auto p = rel.RecvFor(1, 0, 2, std::chrono::milliseconds(100));
   ASSERT_FALSE(p.ok());
@@ -229,18 +223,16 @@ void ExpectZeroSteadyStateAllocations(
     const std::vector<std::pair<std::size_t, int>>& prime) {
   FaultSpec spec;
   spec.seed = seed;
-  spec.delivery = FaultDelivery::kRaw;
   spec.all_links.delay_prob = 0.3;
   spec.all_links.max_delay_ms = 15.0;  // >> rto: forces retransmits
-  InProcTransport inner(2);
-  FaultyTransport faulty(inner, spec);
   common::BufferPool pool;
   test::PrimePool(pool, prime);
   ReliableOptions opts;
   opts.pool = &pool;
   opts.rto_initial_ms = 2;
   opts.rto_max_ms = 8;
-  ReliableTransport rel(faulty, opts);
+  TransportStack stack(2, spec, opts);
+  ReliableTransport& rel = *stack.reliable();
   const auto lane = [](int i, std::size_t j) {
     return static_cast<float>(i) + 0.5f * static_cast<float>(j % 64);
   };
@@ -363,15 +355,13 @@ TEST(ReliableCollectiveTest, MultiChannelAllReduceBitExactThroughChaos) {
       // Chaos run: drop/dup/reorder/corrupt under the reliable layer.
       FaultSpec spec;
       spec.seed = 1000 + static_cast<std::uint64_t>(channels * 10 + depth);
-      spec.delivery = FaultDelivery::kRaw;
       spec.all_links.drop_prob = 0.03;
       spec.all_links.dup_prob = 0.03;
       spec.all_links.reorder_prob = 0.03;
       spec.all_links.corrupt_prob = 0.01;
       auto chaotic = make_data();
-      InProcTransport inner(world);
-      FaultyTransport faulty(inner, spec);
-      ReliableTransport rel(faulty);
+      TransportStack stack(world, spec, ReliableOptions{});
+      ReliableTransport& rel = *stack.reliable();
       run(rel, chaotic);
 
       for (int r = 0; r < world; ++r) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""aiacc-analyzer — AST-level protocol & resource checks for the repo.
+"""aiacc-analyzer — the repo's one lint entry point.
 
-Six checks regex cannot express (see DESIGN.md "Static analysis"):
+Eight checks (see DESIGN.md "Static analysis"). Six work on the frontend
+IR and express what regex cannot:
   dropped-status            Status/Result values discarded or overwritten
                             before inspection
   pool-leak                 BufferPool::Acquire without Release/move-out on
@@ -20,6 +21,16 @@ Six checks regex cannot express (see DESIGN.md "Static analysis"):
                             BlockingQueue<AllReduceUnit> (or Push/Pop on
                             one) bypasses priority order, aging, and
                             preemption
+Two read the file text with comments and strings blanked, so both
+frontends give the same result:
+  banned-token              one table of (token, path scope, message):
+                            raw std::mutex/condition_variable/notify_*
+                            outside src/common/sync.h, the retired
+                            HotPathCounters, new/malloc in src/transport
+                            and src/compress
+  guarded-member            mutable members of a class in src/ that owns
+                            a common::Mutex carry GUARDED_BY(...) or a
+                            NOLOCK(reason) comment
 
 Frontends:
   clang  libclang (Python clang.cindex) over build/compile_commands.json —

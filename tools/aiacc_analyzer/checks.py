@@ -1,9 +1,10 @@
-"""The six aiacc-analyzer checks, all operating on the frontend IR.
+"""The eight aiacc-analyzer checks.
 
 Each check is a function `(project, ctx) -> list[Finding]`. `ctx` carries
 repo paths and the parsed tag-layout environment. Checks must be
-frontend-agnostic: they see only ir.py shapes and treat type/receiver
-fields as spellings.
+frontend-agnostic: the IR checks see only ir.py shapes and treat
+type/receiver fields as spellings; the text checks (banned-token,
+guarded-member) read each file through lexer.strip_comments_and_strings.
 """
 
 from __future__ import annotations
@@ -28,6 +29,22 @@ def word_in(word: str, text: str) -> bool:
 
 def _all_text(st: Stmt) -> str:
     return " ".join(filter(None, (st.text, st.cond, st.init)))
+
+
+def _read_text(repo: str, rel: str) -> str:
+    try:
+        with open(os.path.join(repo, rel), encoding="utf-8") as fh:
+            return fh.read()
+    except OSError:
+        return ""
+
+
+def _in_scope(path: str, prefixes: tuple, fixture_stem: str) -> bool:
+    """Is `path` under one of `prefixes`? A check's own fixtures
+    (tests/analyzer_fixtures/<stem>_*.cc) are in every scope it has."""
+    norm = path.replace("\\", "/")
+    return norm.startswith(prefixes) or \
+        os.path.basename(norm).startswith(fixture_stem)
 
 
 # ==========================================================================
@@ -623,8 +640,7 @@ def check_tag_collision(project, ctx) -> list[Finding]:
             message="could not parse constants: " + ", ".join(missing)))
         return out
 
-    # Layout relations (supersedes check_invariants.py check 2): the
-    # namespace carve-up must nest without overlap.
+    # Layout relations: the namespace carve-up must nest without overlap.
     def relation(cond: bool, msg: str) -> None:
         if not cond:
             out.append(Finding(check="tag-collision", file=_TAGS_REL, line=1,
@@ -817,11 +833,8 @@ _SCHEDULER_FILES = frozenset(("scheduler.h", "scheduler.cpp"))
 
 
 def _priority_scope(path: str) -> bool:
-    norm = path.replace("\\", "/")
-    base = os.path.basename(norm)
-    if base in _SCHEDULER_FILES:
-        return False
-    return norm.startswith("src/core/") or "priority_ordering" in base
+    return os.path.basename(path) not in _SCHEDULER_FILES and \
+        _in_scope(path, ("src/core/",), "priority_ordering")
 
 
 def _recv_tail(recv: str) -> str:
@@ -848,12 +861,7 @@ def check_priority_ordering(project, ctx) -> list[Finding]:
         # Raw-text pass for declarations: class members never appear in the
         # function IR, so the IR alone cannot see the queue come into
         # existence.
-        try:
-            with open(os.path.join(ctx.repo, fir.path),
-                      encoding="utf-8") as fh:
-                text = strip_comments_and_strings(fh.read())
-        except OSError:
-            text = ""
+        text = strip_comments_and_strings(_read_text(ctx.repo, fir.path))
         for lineno, line in enumerate(text.splitlines(), 1):
             m = _UNIT_QUEUE_DECL.search(line)
             if m is None:
@@ -886,6 +894,153 @@ def check_priority_ordering(project, ctx) -> list[Finding]:
 
 
 # ==========================================================================
+# Check 7: banned-token
+# ==========================================================================
+
+_SYNC_HEADER = "src/common/sync.h"
+
+# (token regex, path scope, exempt files, message). `{tok}` in the message
+# is the matched token. A deliberate exception carries
+# `// ANALYZER-OK(banned-token: reason)`.
+_BANNED_TOKENS = (
+    # Every lock goes through the annotated wrappers, so the lock-order
+    # detector and Clang thread-safety analysis see every lock.
+    (re.compile(r"\bstd::(?:recursive_|shared_)?mutex|"
+                r"\bstd::condition_variable|notify_(?:one|all)\("),
+     ("src/", "tests/", "bench/", "examples/"), (_SYNC_HEADER,),
+     "raw '{tok}' outside " + _SYNC_HEADER +
+     "; use common::Mutex / common::CondVar"),
+    # The telemetry metrics registry replaced the HotPathCounters
+    # side-channel.
+    (re.compile(r"\b(?:Global)?HotPathCounters\b"),
+     ("src/", "tests/", "bench/"), (),
+     "HotPathCounters was replaced by the telemetry metrics registry; "
+     "use MetricsRegistry handles (src/telemetry/metrics.h)"),
+    # Payload and codec scratch buffers come from common::BufferPool, so
+    # the reliability layer and the codecs stay allocation-free in steady
+    # state (the zero-alloc chaos and codec tests depend on it).
+    (re.compile(r"\bnew\b|\b(?:malloc|calloc|realloc)\s*\("),
+     ("src/transport/", "src/compress/"), (),
+     "raw '{tok}' on the transport/codec hot path; buffers must come from "
+     "common::BufferPool (steady-state zero-alloc invariant)"),
+)
+
+
+def check_banned_token(project, ctx) -> list[Finding]:
+    out: list[Finding] = []
+    for fir in project.files:
+        rows = [(rx, msg) for rx, scope, exempt, msg in _BANNED_TOKENS
+                if _in_scope(fir.path, scope, "banned_token")
+                and fir.path.replace("\\", "/") not in exempt]
+        if not rows:
+            continue
+        code = strip_comments_and_strings(_read_text(ctx.repo, fir.path))
+        for lineno, line in enumerate(code.splitlines(), 1):
+            for rx, msg in rows:
+                m = rx.search(line)
+                if m is None:
+                    continue
+                tok = m.group(0).rstrip("(").strip()
+                out.append(Finding(
+                    check="banned-token", file=fir.path, line=lineno,
+                    symbol=tok, message=msg.format(tok=tok)))
+    return out
+
+
+# ==========================================================================
+# Check 8: guarded-member
+# ==========================================================================
+
+# Lines at a class body's top level that are not data members.
+_MEMBER_SKIP = re.compile(
+    r"^\s*(?:"
+    r"static\b|using\b|typedef\b|friend\b|public:|private:|protected:|"
+    r"template\b|enum\b|struct\b|class\b|return\b|if\b|for\b|while\b|"
+    r"switch\b|case\b|#"
+    r")")
+_FUNCTION_DECL = re.compile(
+    r"\)\s*(?:const\s*)?(?:noexcept\s*)?(?:override\s*)?"
+    r"(?:=\s*(?:default|delete|0)\s*)?;")
+
+# A member needs no lock when its type is a synchronization primitive, an
+# atomic, or const (immutable after construction).
+_EXEMPT_TYPE = re.compile(
+    r"^\s*(?:mutable\s+)?(?:"
+    r"(?:common::|aiacc::common::)?(?:Mutex|CondVar|MutexLock)\b|"
+    r"std::atomic\b|"
+    r"const\b|"
+    r"(?:[\w:<>,\s*&]+\s)?const\s+[\w:]+\s*(?:\*\s*)?const\b"
+    r")")
+
+_MEMBER_DECL = re.compile(
+    r"^\s*(?:mutable\s+)?[\w:<>,\s*&\[\]~]+?[\s*&]"
+    r"(\w+)\s*(?:\{[^;]*\}|=[^;]*)?;")
+
+_CLASS_OPEN = re.compile(r"^\s*(?:class|struct)\s+\w+[^;{]*\{")
+_NOLOCK = re.compile(r"NOLOCK\([^)]+\)")
+
+
+def _mutex_class_bodies(code: str):
+    """Top-level member lines [(index, line)] of every class/struct body in
+    `code` (comments and strings stripped) that declares a Mutex member.
+    Top level means brace depth exactly one inside the class and no open
+    parenthesis at line start, so method bodies, nested structs and
+    wrapped parameter lists are excluded. Brace counting suffices for the
+    repo's clang-format style."""
+    stack = []  # [depth_at_open, member_lines]
+    depth = parens = 0
+    for idx, line in enumerate(code.splitlines()):
+        if _CLASS_OPEN.match(line) and "}" not in line and parens == 0:
+            stack.append([depth, []])
+        else:
+            for open_depth, members in stack:
+                if depth == open_depth + 1 and parens == 0:
+                    members.append((idx, line))
+        depth += line.count("{") - line.count("}")
+        parens += line.count("(") - line.count(")")
+        while stack and depth <= stack[-1][0]:
+            _, members = stack.pop()
+            if re.search(r"\b(?:common::)?Mutex\s+\w+",
+                         "\n".join(l for _, l in members)):
+                yield members
+
+
+def check_guarded_member(project, ctx) -> list[Finding]:
+    """Any class in src/ that owns a common::Mutex annotates each mutable
+    data member with GUARDED_BY(...) or marks its line NOLOCK(reason).
+    Catches "added a field, forgot the lock" drift that GCC builds (no
+    thread-safety analysis) never see."""
+    out: list[Finding] = []
+    for fir in project.files:
+        if not _in_scope(fir.path, ("src/",), "guarded_member") or \
+                fir.path.replace("\\", "/") == _SYNC_HEADER:
+            continue
+        raw = _read_text(ctx.repo, fir.path)
+        code = strip_comments_and_strings(raw)
+        if "Mutex" not in code:
+            continue
+        raw_lines = raw.splitlines()
+        for body in _mutex_class_bodies(code):
+            for idx, line in body:
+                if _MEMBER_SKIP.match(line) or "operator" in line or \
+                        _FUNCTION_DECL.search(line):
+                    continue
+                m = _MEMBER_DECL.match(line)
+                if m is None or _EXEMPT_TYPE.match(line) or \
+                        "GUARDED_BY" in line:
+                    continue
+                if _NOLOCK.search(raw_lines[idx]):
+                    continue
+                out.append(Finding(
+                    check="guarded-member", file=fir.path, line=idx + 1,
+                    symbol=m.group(1),
+                    message=f"member '{m.group(1)}' in a Mutex-owning "
+                            f"class lacks GUARDED_BY(...); annotate it or "
+                            f"mark the line NOLOCK(reason)"))
+    return out
+
+
+# ==========================================================================
 
 ALL_CHECKS = {
     "dropped-status": check_dropped_status,
@@ -894,6 +1049,8 @@ ALL_CHECKS = {
     "tag-collision": check_tag_collision,
     "codec-record-validation": check_codec_record_validation,
     "priority-ordering": check_priority_ordering,
+    "banned-token": check_banned_token,
+    "guarded-member": check_guarded_member,
 }
 
 

@@ -1,7 +1,7 @@
 """The analyzer IR: a function-granular statement tree both frontends
 lower to, and the only shape the checks ever see.
 
-The IR is deliberately small — it models exactly what the five checks
+The IR is deliberately small — it models exactly what the IR checks
 need: statement structure (blocks / branches / loops / returns), the
 calls each statement makes (callee name, receiver text, argument texts),
 and local declarations with their spelled type. The clang frontend

@@ -4,7 +4,7 @@ Everything here operates on plain text and is careful about the C++
 lexical grammar the repo actually uses: //, /* */ comments, ordinary
 string/char literals with escapes, and raw string literals
 (R"delim( ... )delim") — the last being exactly what regex-based lints
-historically mishandled (see tools/check_invariants.py history).
+historically mishandled.
 """
 
 from __future__ import annotations
